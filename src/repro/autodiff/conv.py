@@ -51,8 +51,8 @@ def im2col_into(
     Bit-identical to :func:`im2col` — both fill positions with pure copies of
     the same padded-input elements — but writes the caller's buffer in place
     (a row band of a recorded ``saved["col"]`` matrix) and draws its padded
-    scratch from the process-wide sharding scratch pool, so replays sharded
-    across threads never allocate per band.
+    scratch from the process-wide sharding scratch pool, so warm replays
+    never allocate per band.
 
     ``row_start``/``row_stop`` restrict the unfold to an *output-row* window
     (the spatial banding axis for batch-1 kernels): ``out`` then holds only

@@ -18,6 +18,12 @@ Activate a pool for the current thread with :func:`use_buffer_pool`; the op
 dispatcher (:func:`repro.autodiff.ops.apply`) then feeds elementwise kernels
 pooled ``out=`` arrays whenever the result dtype matches the engine default
 (mixed-dtype calls keep the compute-then-cast semantics untouched).
+
+Banded heavy kernels use a second, process-wide instance
+(:func:`repro.autodiff.sharding.scratch_pool`) through :meth:`BufferPool.take`
+/ :meth:`BufferPool.release` pairs scoped to one kernel call: im2col windows,
+per-band GEMM results and tree-reduce partials.  Warm replays of a recorded
+graph therefore allocate no new scratch.
 """
 
 from __future__ import annotations
@@ -48,9 +54,9 @@ class BufferPool:
     """Reusable ``np.empty`` arrays keyed by (shape, dtype).
 
     Thread-safe: the free lists and outstanding ledger are shared mutable
-    state, and a pool may be hit from several threads at once — the training
-    loop's pool while a wave-parallel replay runs, or an engine cell executor
-    sharing one pool across worker threads.  A single lock guards every
+    state, and a pool may be hit from several threads at once — an engine
+    cell executor sharing one pool across worker threads, or the process-wide
+    scratch pool under concurrent serving replicas.  A single lock guards every
     mutation; the critical sections are a list pop/append, so contention is
     negligible next to the kernels the pool feeds.  Without the lock two
     concurrent :meth:`acquire` calls could pop the same free-list entry and
@@ -83,9 +89,9 @@ class BufferPool:
         Unlike :meth:`acquire`, the buffer is not added to the outstanding
         ledger, so :meth:`recycle` never reclaims it out from under the
         caller: the caller owns it until it hands it back with
-        :meth:`release`.  This is the contract sharded replay kernels need —
-        a take/release pair scoped to one kernel call, possibly on an
-        executor worker thread that never activated any thread-local pool.
+        :meth:`release`.  This is the contract banded kernels need — a
+        take/release pair scoped to one kernel call, independent of any
+        thread-local pool activation.
         """
         key = (tuple(shape), np.dtype(dtype).str)
         with self._lock:

@@ -1,39 +1,17 @@
-"""Batch-axis sharding of heavyweight kernels and the replay cost model.
+"""Canonical banding of heavyweight kernels and tree-reduced gradients.
 
-PR 6's wave scheduler only helped graphs that are *wide*: conv towers replay
-as a single chain of heavy steps, so threads bought them nothing (and on
-few-core hosts the executor overhead made replays slower than serial).  This
-module is the shared substrate that lets the heavy kernels themselves split
-across the replay thread pool:
+Every kernel in this module's scope runs on the calling thread.  Banding is
+kept because it fixes the result bytes and because it is faster serially:
+a conv2d whose im2col stays one sample at a time stays in cache.
 
 * **Canonical sample banding.**  The container's BLAS is *not* row-stable:
-  ``(a @ b)[i:j]`` and ``a[i:j] @ b`` differ in the last bits, so naively
-  slicing a big matmul across threads would break the engine's bit-identity
-  invariant.  Instead, every heavy kernel call whose shapes pass
-  :func:`banded` computes its result in fixed *canonical bands* (one sample
-  of the batch axis for conv/pool, :data:`MATMUL_BAND_ROWS` rows for 2-D
-  matmul) — in eager mode and in replays alike.  A shard is then a contiguous
-  *group of whole bands*, each band still computed by its own kernel call, so
-  any shard count — 1, 2, or one per band — produces byte-identical output.
-  The banding decision is a pure function of shapes and FLOPs (never of
-  thread count or host), which is what keeps eager and replayed values equal.
-
-* **FLOP/byte cost model.**  Scheduling decisions (how many shards a step
-  splits into, whether a wave fans out to the executor at all) come from
-  modeled seconds derived from the registry's :attr:`Op.cost` rules, not from
-  raw element counts.  Unlike banding, these decisions are free to depend on
-  thread and core counts: they change *where* bands run, never their values.
-
-* **Worker clamping.**  ``REPRO_REPLAY_THREADS`` beyond ``os.cpu_count()``
-  cannot help (it produced the 0.62x "parallel" replay on a 1-core host), so
-  :func:`effective_workers` clamps the pool size to the cores actually
-  present.  Tests and benches that must exercise the parallel machinery on
-  small CI runners set ``REPRO_REPLAY_FORCE_PARALLEL=1`` to bypass the clamp.
-
-* **Backward sharding.**  Replays activate a :class:`ShardRunner` (thread
-  local) around the recorded backward sweep; ops that declare a
-  ``backward_shard`` kernel pick it up via :func:`active_runner` and fan
-  their band loops out over the same executor the forward waves used.
+  ``(a @ b)[i:j]`` and ``a[i:j] @ b`` differ in the last bits.  Every heavy
+  kernel call whose shapes pass :func:`banded` therefore computes its result
+  in fixed *canonical bands* (one sample of the batch axis for conv/pool,
+  :data:`MATMUL_BAND_ROWS` rows for 2-D matmul), each band its own kernel
+  call — in eager mode and in replays alike.  The banding decision is a pure
+  function of shapes and FLOPs, which is what keeps eager and replayed
+  values equal.
 
 * **Tree-reduced cross-batch gradients.**  Reductions *across* the batch
   (conv2d ``grad_weight``/``grad_bias``, matmul ``grad_b``) cannot write
@@ -41,9 +19,7 @@ across the replay thread pool:
   element.  :func:`reduce_bands` computes one partial per canonical band
   into pooled scratch slabs and combines them with :func:`tree_reduce`, a
   fixed-shape binary tree whose combine order is a pure function of the
-  band count alone — never of shard count or thread arrival — so the
-  result is byte-identical at any shard/thread count.  Shards only decide
-  *which worker computes which leaf partials*.
+  band count alone.
 
 * **Spatial banding for batch 1.**  When the batch axis is a single sample
   (the serving gateway's single-request path) the heavy 4-D kernels band
@@ -55,78 +31,38 @@ across the replay thread pool:
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import Executor
+import time
 
 import numpy as np
 
+from repro.autodiff import profiler as _profiler
 from repro.autodiff.pool import BufferPool
 
 __all__ = [
     "MATMUL_BAND_ROWS",
-    "MIN_SHARD_SECONDS",
+    "MIN_BAND_FLOPS",
     "SPATIAL_BAND_ROWS",
-    "ShardRunner",
-    "active_runner",
     "banded",
-    "decide_shards",
-    "effective_workers",
-    "fan_out_wins",
-    "force_parallel",
-    "min_band_flops",
-    "modeled_seconds",
-    "partition",
     "reduce_bands",
-    "runner_scope",
     "scratch_pool",
     "tree_reduce",
 ]
 
-#: Modeled sustained kernel rates for the cost model.  Deliberately round,
-#: host-independent numbers: the model only has to rank "worth a task" vs
-#: "not worth a task", not predict wall time.
-_FLOPS_PER_SECOND = 4e9
-_BYTES_PER_SECOND = 8e9
-
-#: Modeled cost of shipping one unit of work through the executor (submit,
-#: wake, future resolution).  A wave only fans out when its modeled win
-#: exceeds this per queued unit.
-TASK_OVERHEAD_SECONDS = 40e-6
-
-#: Smallest modeled slice worth a dedicated shard: below this, the submit
-#: overhead eats the kernel win, so the step stays in fewer (or one) pieces.
-MIN_SHARD_SECONDS = 75e-6
-
 #: Canonical band height for 2-D matmuls.  Per-*row* bands would degrade the
 #: GEMM into thousands of GEMV calls; 64-row bands keep each call a real
-#: (cache-blocked) GEMM while still giving the scheduler plenty of units.
+#: (cache-blocked) GEMM.
 MATMUL_BAND_ROWS = 64
 
 #: Canonical band height (in *output rows*) for spatially banded 4-D kernels
 #: when the batch axis is a single sample.  Small enough that test-sized
-#: feature maps still split into several ragged bands; a 224x224 conv output
-#: yields 56 units for the scheduler to group.
+#: feature maps still split into several ragged bands.
 SPATIAL_BAND_ROWS = 4
 
-#: Default FLOP floor before a heavy kernel switches to canonical banding.
-#: Tunable via REPRO_SHARD_MIN_FLOPS so tests can force banding on small
-#: fixtures — but within one process the value must stay fixed between
-#: recording and replay (banding changes last-bit values by design).
-_DEFAULT_MIN_BAND_FLOPS = 2_000_000
-
-
-def min_band_flops() -> int:
-    """FLOP floor for canonical banding (``REPRO_SHARD_MIN_FLOPS``)."""
-    raw = os.environ.get("REPRO_SHARD_MIN_FLOPS", "").strip()
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SHARD_MIN_FLOPS must be an integer, got {raw!r}"
-            ) from None
-    return _DEFAULT_MIN_BAND_FLOPS
+#: FLOP floor before a heavy kernel switches to canonical banding.  Tests
+#: lower it with ``monkeypatch.setattr`` so small fixtures band; within one
+#: process it must stay fixed between recording and replay, since banding
+#: changes last-bit values by design.
+MIN_BAND_FLOPS = 2_000_000
 
 
 def banded(units: int, flops: int) -> bool:
@@ -134,82 +70,12 @@ def banded(units: int, flops: int) -> bool:
 
     A pure function of the call's shapes (band count) and FLOPs: banding
     changes values in the last bits, so the decision must not depend on
-    thread count, core count or anything else that varies between the eager
-    pass that records a graph and the replays that re-execute it.
+    anything that varies between the eager pass that records a graph and
+    the replays that re-execute it.
     """
     if units < 2:
         return False
-    floor = min_band_flops()
-    return flops >= floor and flops // units >= max(floor // 32, 1)
-
-
-def modeled_seconds(flops: float, bytes_moved: float) -> float:
-    """Modeled execution seconds from the registry's FLOP/byte cost rules."""
-    return flops / _FLOPS_PER_SECOND + bytes_moved / _BYTES_PER_SECOND
-
-
-def force_parallel() -> bool:
-    """Whether ``REPRO_REPLAY_FORCE_PARALLEL`` disables the core clamp."""
-    return os.environ.get("REPRO_REPLAY_FORCE_PARALLEL", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def effective_workers(threads: int) -> int:
-    """Replay workers actually worth using: threads clamped to real cores.
-
-    Oversubscribing a small host is where the old executor lost to serial
-    (0.62x on one core); scheduling is free to consult the host because it
-    only moves bands between threads — values are fixed by canonical banding.
-    """
-    if force_parallel():
-        return max(threads, 1)
-    return max(1, min(threads, os.cpu_count() or 1))
-
-
-def decide_shards(seconds: float, units: int, workers: int) -> int:
-    """How many shards a banded step splits into (1 = stay whole).
-
-    Capped by the workers available and the canonical band count, and scaled
-    so no shard's modeled slice drops below :data:`MIN_SHARD_SECONDS`.
-    """
-    if workers < 2 or units < 2:
-        return 1
-    by_cost = int(seconds / MIN_SHARD_SECONDS)
-    return max(1, min(workers, units, by_cost))
-
-
-def fan_out_wins(seconds: float, unit_count: int, workers: int) -> bool:
-    """Whether dispatching a wave's units to the executor beats inlining them.
-
-    The modeled win is the wall time parallelism removes; it must pay for the
-    per-unit task overhead.  Negative-win waves (tiny steps, few cores) run
-    inline on the caller thread — the exact serial code path.
-    """
-    if workers < 2 or unit_count < 2:
-        return False
-    win = seconds * (1.0 - 1.0 / min(workers, unit_count))
-    return win > TASK_OVERHEAD_SECONDS * unit_count
-
-
-def partition(units: int, shards: int) -> list[tuple[int, int]]:
-    """Split ``units`` canonical bands into ``shards`` contiguous spans.
-
-    The remainder spreads over the leading spans, so a ragged final band gets
-    the same treatment as everywhere else in the executor.
-    """
-    shards = max(1, min(shards, units))
-    size, extra = divmod(units, shards)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for shard in range(shards):
-        stop = start + size + (1 if shard < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
+    return flops >= MIN_BAND_FLOPS and flops // units >= max(MIN_BAND_FLOPS // 32, 1)
 
 
 def tree_reduce(slabs: list, out) -> None:
@@ -217,11 +83,9 @@ def tree_reduce(slabs: list, out) -> None:
 
     The combine order is a pure function of ``len(slabs)``: pairs merge in
     index order, odd tails carry to the next level, and the final pair lands
-    in ``out`` — never the order workers *finished* the leaves.  Floating
-    point addition is not associative, so a fixed tree is what makes the
-    reduced gradient byte-identical at every shard and thread count (shards
-    only choose which worker computes which leaf).  Leaf slabs are consumed:
-    interior sums overwrite them in place.
+    in ``out``.  Floating point addition is not associative, so a fixed tree
+    is what makes the reduced gradient reproducible byte for byte.  Leaf
+    slabs are consumed: interior sums overwrite them in place.
     """
     if len(slabs) == 1:
         np.copyto(out, slabs[0])
@@ -239,60 +103,34 @@ def tree_reduce(slabs: list, out) -> None:
 
 
 #: Process-wide scratch pool for per-band temporaries (im2col padding, band
-#: result matrices).  Deliberately *not* the thread-local tensor pool: shard
-#: units run on executor worker threads that never see the recording thread's
-#: ``use_buffer_pool`` activation, and scratch lifetimes are a take/release
-#: pair inside one kernel call, not an arena generation.
+#: result matrices, reduce partials).  Deliberately *not* the thread-local
+#: tensor pool: scratch lifetimes are a take/release pair inside one kernel
+#: call, not an arena generation.
 _SCRATCH = BufferPool()
 
 
 def scratch_pool() -> BufferPool:
-    """The process-wide scratch pool sharded kernels draw temporaries from."""
+    """The process-wide scratch pool banded kernels draw temporaries from."""
     return _SCRATCH
 
 
-def reduce_bands(
-    units: int,
-    seconds: float,
-    partial_fn,
-    out,
-    runner: "ShardRunner | None" = None,
-    name: str | None = None,
-) -> None:
+def reduce_bands(units: int, partial_fn, out, name: str | None = None) -> None:
     """Tree-reduce per-band partials into ``out`` (a cross-batch gradient).
 
     ``partial_fn(band, slab)`` computes canonical band ``band``'s partial
-    into ``slab`` (shaped/typed like ``out``, drawn from the scratch pool).
-    With a ``runner``, leaf computation fans out over the replay executor;
-    the combine itself always runs on the caller thread through
-    :func:`tree_reduce`, so the summation order — hence the bytes of the
-    result — is fixed by ``units`` alone.  ``seconds`` should price the
-    partial-slab traffic (``units * out.nbytes`` written then re-read) on
-    top of the kernel FLOPs so the shard decision sees the true cost.
+    into ``slab`` (shaped/typed like ``out``, drawn from the scratch pool);
+    :func:`tree_reduce` then combines them, so the summation order — hence
+    the bytes of the result — is fixed by ``units`` alone.
 
     With ``name`` set and a profiler active, the whole reduce lands under a
-    ``<name>_treereduce`` row whose meta records the shard count and the
-    pooled partial bytes.
+    ``<name>_treereduce`` row whose meta records the pooled partial bytes.
     """
-    import time
-
-    from repro.autodiff import profiler as _profiler
-
     profiler = _profiler.active_profiler() if name is not None else None
     began = time.perf_counter() if profiler is not None else 0.0
     pool = scratch_pool()
     slabs = [pool.take(out.shape, out.dtype) for _ in range(units)]
-
-    def fill(start: int, stop: int) -> None:
-        for band in range(start, stop):
-            partial_fn(band, slabs[band])
-
-    shards = 1
-    if runner is not None:
-        shards = decide_shards(seconds, units, runner.workers)
-        runner.map_bands(units, seconds, fill)
-    else:
-        fill(0, units)
+    for band, slab in enumerate(slabs):
+        partial_fn(band, slab)
     tree_reduce(slabs, out)
     for slab in slabs:
         pool.release(slab)
@@ -302,101 +140,5 @@ def reduce_bands(
             time.perf_counter() - began,
             0,
             0,
-            meta={"shards": shards, "partial_bytes": units * out.nbytes},
+            meta={"partial_bytes": units * out.nbytes},
         )
-
-
-class ShardRunner:
-    """Distributes canonical band spans over the shared replay executor.
-
-    Activated (thread-locally) by ``GraphRecording.replay`` around the
-    backward sweep; backward kernels receive it and call :meth:`map_bands`
-    for their band-parallel pieces.  The caller thread always runs the first
-    span itself, so a one-span decision never touches the executor.
-    """
-
-    __slots__ = ("executor", "workers")
-
-    def __init__(self, executor: Executor, workers: int) -> None:
-        self.executor = executor
-        self.workers = workers
-
-    def map_bands(self, units: int, seconds: float, fn, name: str | None = None) -> None:
-        """Run ``fn(start, stop)`` over all ``units`` bands, sharded by cost.
-
-        ``fn`` must write disjoint output slices per band span (every caller
-        writes ``out[start:stop]``-style regions), so spans are race-free in
-        any interleaving — and band grouping never changes values, so the
-        result is byte-identical to ``fn(0, units)``.
-        """
-        shards = decide_shards(seconds, units, self.workers)
-        if shards < 2:
-            self._run_span(fn, 0, units, 1, name)
-            return
-        spans = partition(units, shards)
-        futures = [
-            self.executor.submit(self._run_span, fn, start, stop, shards, name)
-            for start, stop in spans[1:]
-        ]
-        self._run_span(fn, spans[0][0], spans[0][1], shards, name)
-        for future in futures:
-            future.result()
-
-    def map_reduce_bands(
-        self, units: int, seconds: float, partial_fn, out, name: str | None = None
-    ) -> None:
-        """The reduce variant of :meth:`map_bands`: see :func:`reduce_bands`.
-
-        Leaf partials fan out over the executor; the fixed-tree combine runs
-        on the calling thread, so the result is byte-identical to the
-        runner-free ``reduce_bands(..., runner=None)`` call.
-        """
-        reduce_bands(units, seconds, partial_fn, out, runner=self, name=name)
-
-    @staticmethod
-    def _run_span(fn, start: int, stop: int, shards: int, name: str | None) -> None:
-        from repro.autodiff import profiler as _profiler
-
-        profiler = _profiler.active_profiler() if name is not None else None
-        if profiler is None:
-            fn(start, stop)
-            return
-        import time
-
-        began = time.perf_counter()
-        fn(start, stop)
-        profiler.record(
-            name,
-            time.perf_counter() - began,
-            0,
-            0,
-            meta={"shards": shards, "bands": stop - start},
-        )
-
-
-class _RunnerState(threading.local):
-    def __init__(self) -> None:
-        self.runner: ShardRunner | None = None
-
-
-_STATE = _RunnerState()
-
-
-def active_runner() -> ShardRunner | None:
-    """The shard runner backward kernels should fan band loops out over."""
-    return _STATE.runner
-
-
-class runner_scope:
-    """Context manager activating a :class:`ShardRunner` for this thread."""
-
-    def __init__(self, runner: ShardRunner) -> None:
-        self.runner = runner
-
-    def __enter__(self) -> ShardRunner:
-        self._previous = _STATE.runner
-        _STATE.runner = self.runner
-        return self.runner
-
-    def __exit__(self, *exc_info) -> None:
-        _STATE.runner = self._previous

@@ -20,8 +20,8 @@ Two policies share one event-driven core:
 The core itself never touches tensors: service times come from the
 :class:`~repro.serve.gateway.costs.StageCostModel`, so a pure simulation can
 push 10^5+ requests per second of host time.  A ``stage_executor`` hook lets
-the real-execution mode run actual partition stages for each cohort — same
-scheduler, same accounting, real logits.
+the real-execution mode run actual partition stages for each cohort, on the
+scheduler's own thread — same scheduler, same accounting, real logits.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Tests of the dependency-scheduled parallel replay executor.
+"""Tests of the replay executor: every replay runs on the calling thread.
 
-The wave scheduler levels a recording's replay steps into waves of mutually
-independent work and runs each wave on a shared thread pool sized by
-``REPRO_REPLAY_THREADS``.  The invariant under test: **every thread count
-produces byte-identical outputs, gradients and stats** — parallelism is a
-pure scheduling change, observable only through speed and the profiler.
+A recording's replay plan is a step list run front to back — fused
+elementwise chains and in-place kernel reruns — with no worker pool behind
+it.  The invariants under test: replays are byte-identical to eager
+execution (outputs and gradients), graphs with non-replayable ops fall back
+to eager, and neither replays nor the serving gateway start a thread.
 """
 
 from __future__ import annotations
@@ -12,16 +12,14 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import pytest
 
 from repro.autodiff import (
     CapturedExecution,
     CapturedInference,
     EagerExecution,
-    GraphRecording,
     InferenceHandles,
     InferenceRecording,
-    Op,
+    ReplayPlan,
     Tensor,
     TraceHandles,
     no_grad,
@@ -29,8 +27,6 @@ from repro.autodiff import (
     replay_thread_count,
 )
 from repro.autodiff import functional as F
-from repro.autodiff import ops as op_registry
-from repro.autodiff.capture import _FusedChain, _build_replay_plan
 
 _BRANCH_SCALES = (1.0, 1.25, 1.5, 1.75)
 
@@ -63,124 +59,13 @@ def _wide_inference_trace(weight):
     return trace
 
 
-class TestThreadCountKnob:
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLAY_THREADS", raising=False)
-        import os
-
-        assert replay_thread_count() == (os.cpu_count() or 1)
-
-    def test_env_override_and_floor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "6")
-        assert replay_thread_count() == 6
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "0")
-        assert replay_thread_count() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "many")
-        with pytest.raises(ValueError, match="REPRO_REPLAY_THREADS"):
-            replay_thread_count()
-
-
-class TestWavePlanner:
-    def test_independent_branches_level_into_one_wide_wave(self, rng):
-        weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
-        trace = _wide_grad_trace(weight)
-        recording = GraphRecording(EagerExecution().run(trace, rng.normal(size=(8, 16))))
-        # One chain per branch, all at dependency level 0.
-        assert recording.max_wave_width >= len(_BRANCH_SCALES)
-        assert recording.waves >= 2  # branches, then the merge tail
-        assert recording.fused_chains >= len(_BRANCH_SCALES)
-
-    def test_sequential_chain_has_width_one(self, rng):
-        weight = Tensor(rng.normal(size=(6, 3)), requires_grad=True, is_parameter=True)
-
-        def trace(array):
-            x = Tensor(array, requires_grad=True, is_input=True)
-            return TraceHandles(objective=F.gelu(x @ weight).sum(), input=x)
-
-        recording = GraphRecording(EagerExecution().run(trace, rng.normal(size=(4, 6))))
-        assert recording.max_wave_width == 1
-        assert not recording._plan.parallelizable
-
-    def test_waves_respect_dependencies(self, rng):
-        """Every step's producers sit in strictly earlier waves."""
-        weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
-        trace = _wide_inference_trace(weight)
-        recording = InferenceRecording(trace(rng.normal(size=(8, 16))))
-        plan = recording._plan
-        wave_of = {}
-        for wave_index, wave in enumerate(plan.waves):
-            for step_index in wave:
-                wave_of[step_index] = wave_index
-        assert sorted(wave_of) == list(range(len(plan.steps)))
-        producer = {}
-        for step_index, step in enumerate(plan.steps):
-            nodes = (
-                [call.output for call, _ in step.steps]
-                if isinstance(step, _FusedChain)
-                else [step.node]
-            )
-            for node in nodes:
-                for parent in node.parents:
-                    dep = producer.get(parent.node_id)
-                    if dep is not None and dep != step_index:
-                        assert wave_of[dep] < wave_of[step_index]
-                producer[node.node_id] = step_index
-
-    def test_concurrency_unsafe_op_gets_singleton_wave(self, rng):
-        """An op marked concurrency_safe=False never shares a wave."""
-        op = Op(
-            "test_unsafe_mul",
-            lambda inputs, params, saved, out: (
-                np.multiply(inputs[0], 2.0, out=out)
-                if out is not None
-                else inputs[0] * 2.0
-            ),
-            lambda ctx, grad: ((grad * 2.0) if ctx.needs[0] else None,),
-            elementwise=True,
-            concurrency_safe=False,
-            gradcheck_skip="test-only op, unregistered after the test",
-        )
-        op_registry.register(op)
-        try:
-
-            def trace(array):
-                x = Tensor(array, requires_grad=True, is_input=True)
-                safe = [(x * scale).tanh() for scale in _BRANCH_SCALES]
-                unsafe = op_registry.apply("test_unsafe_mul", [x])
-                merged = unsafe
-                for branch in safe:
-                    merged = merged + branch
-                return TraceHandles(objective=merged.sum(), input=x)
-
-            recording = GraphRecording(EagerExecution().run(trace, rng.normal(size=(4, 8))))
-            plan = recording._plan
-            for wave in plan.waves:
-                for index in wave:
-                    step = plan.steps[index]
-                    nodes = (
-                        [call.op.name for call, _ in step.steps]
-                        if isinstance(step, _FusedChain)
-                        else [step.node.op]
-                    )
-                    if "test_unsafe_mul" in nodes:
-                        assert len(wave) == 1, "unsafe op shared a wave"
-        finally:
-            op_registry.REGISTRY.pop("test_unsafe_mul")
-
-
-@pytest.mark.parametrize("threads", ["1", "2", "8"])
 class TestBitIdentity:
-    """Same recording, different REPRO_REPLAY_THREADS → byte-identical results."""
+    """Same recording, replayed again and again → byte-identical to eager."""
 
-    def test_gradient_replay(self, rng, monkeypatch, threads):
+    def test_gradient_replay(self, rng):
         weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
         trace = _wide_grad_trace(weight)
         eager, captured = EagerExecution(), CapturedExecution()
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", threads)
-        # Exercise the real parallel machinery even on few-core CI hosts.
-        monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
         for trial in range(4):
             batch = rng.normal(size=(8, 16))
             expected = eager.run(trace, batch)
@@ -188,33 +73,26 @@ class TestBitIdentity:
             np.testing.assert_array_equal(
                 np.array(expected.input.grad),
                 np.array(actual.input.grad),
-                err_msg=f"threads={threads} trial={trial}",
+                err_msg=f"trial={trial}",
             )
             assert expected.objective.data.tobytes() == actual.objective.data.tobytes()
         recording = next(iter(captured._recordings.values()))
-        assert recording.fused_chains >= len(_BRANCH_SCALES)
-        assert recording.max_wave_width >= len(_BRANCH_SCALES)
+        assert recording.fused_chains >= 1
 
-    def test_inference_replay(self, rng, monkeypatch, threads):
+    def test_inference_replay(self, rng):
         weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
         trace = _wide_inference_trace(weight)
         captured = CapturedInference()
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", threads)
-        monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
         for trial in range(4):
             batch = rng.normal(size=(8, 16))
             expected = trace(batch).output.data.copy()
             actual = captured.run(trace, batch, key="wide-inf").output.data
-            assert expected.tobytes() == actual.tobytes(), (
-                f"threads={threads} trial={trial}"
-            )
+            assert expected.tobytes() == actual.tobytes(), f"trial={trial}"
         recording = next(iter(captured._recordings.values()))
         assert recording.replays == 2  # run 1 is eager warm-up, run 2 records
-        assert recording.max_wave_width >= len(_BRANCH_SCALES)
 
-    def test_eager_fallback_path(self, rng, monkeypatch, threads):
-        """Graphs with non-replayable ops fall back to eager at any thread count."""
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", threads)
+    def test_eager_fallback_path(self, rng):
+        """Graphs with non-replayable ops fall back to eager."""
         drop_rng = np.random.default_rng(3)
 
         def trace(array):
@@ -231,23 +109,10 @@ class TestBitIdentity:
         assert captured.stats.replays == 0
 
 
-class TestIntraOpSharding:
-    def test_large_saved_free_chain_shards(self, rng):
-        def trace(array):
-            with no_grad():
-                x = Tensor(array, is_input=True)
-                out = ((x * 2.0 + 0.5).tanh().exp() + 1.0).sqrt()
-            return InferenceHandles(input=x, output=out)
+class TestLargeChains:
+    """Fused chains over large buffers replay exactly."""
 
-        recording = InferenceRecording(trace(rng.normal(size=(256, 256))))
-        (step,) = recording._plan.steps
-        assert isinstance(step, _FusedChain)
-        assert step.shardable
-        units = step.units(4)
-        assert len(units) == 4
-        assert recording._plan.parallelizable
-
-    def test_sharded_replay_bit_identical(self, rng, monkeypatch):
+    def test_large_chain_replay_matches_eager(self, rng):
         def trace(array):
             with no_grad():
                 x = Tensor(array, is_input=True)
@@ -256,72 +121,48 @@ class TestIntraOpSharding:
 
         batch = rng.normal(size=(256, 256))
         recording = InferenceRecording(trace(batch))
-        monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "1")
-        serial = recording.replay(batch).output.data.copy()
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
-        sharded = recording.replay(batch).output.data
-        assert serial.tobytes() == sharded.tobytes()
-        assert serial.tobytes() == trace(batch).output.data.tobytes()
+        assert recording.fused_ops == len(recording)
+        for _ in range(2):
+            replayed = recording.replay(batch).output.data
+            assert replayed.tobytes() == trace(batch).output.data.tobytes()
 
-    def test_broadcast_operands_pass_through_whole(self, rng, monkeypatch):
-        """Size-1 and lower-rank operands must not be row-sliced."""
-        bias_row = Tensor(rng.normal(size=(1, 128)))
-        bias_vec = Tensor(rng.normal(size=(128,)))
 
-        def trace(array):
-            with no_grad():
-                x = Tensor(array, is_input=True)
-                out = ((x + bias_row) * 0.5 + bias_vec).tanh()
-            return InferenceHandles(input=x, output=out)
+class TestCallerThreadOnly:
+    def test_replays_and_gateway_start_no_replay_thread(self, rng):
+        from repro.models.simple import SimpleCNN, SimpleCNNConfig
+        from repro.serve.batching import InferenceRequest
+        from repro.serve.gateway import AdmissionPolicy, GatewayPolicy, GatewayService
 
-        batch = rng.normal(size=(512, 128))
-        recording = InferenceRecording(trace(batch))
-        assert any(step.shardable for step in recording._plan.steps)
-        monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
-        replayed = recording.replay(batch).output.data
-        assert replayed.tobytes() == trace(batch).output.data.tobytes()
+        weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
+        gradient, inference = CapturedExecution(), CapturedInference()
+        for _ in range(3):
+            gradient.run(_wide_grad_trace(weight), rng.normal(size=(8, 16)), key="g")
+            inference.run(_wide_inference_trace(weight), rng.normal(size=(8, 16)), key="i")
+        assert gradient.stats.replays >= 1 and inference.stats.replays >= 1
 
-    def test_gelu_chain_stays_unsharded(self, rng):
-        """Ops that refresh record-time saved buffers cannot shard."""
+        model = SimpleCNN(SimpleCNNConfig(in_channels=3, num_classes=4, widths=(4, 8), image_size=8))
+        inputs = rng.uniform(size=(6, 3, 8, 8))
+        requests = [
+            InferenceRequest(request_id=i, payload=inputs[i], arrival_us=i * 100.0, session_id="c")
+            for i in range(len(inputs))
+        ]
+        service = GatewayService(model, GatewayPolicy(
+            policy="continuous", max_batch=2, replicas=2,
+            admission=AdmissionPolicy(max_queue_depth=64, max_per_session=64),
+        ))
+        service.open_session("c")
+        assert len(service.serve(requests).replies) == len(requests)
 
-        def trace(array):
-            with no_grad():
-                x = Tensor(array, is_input=True)
-                out = F.gelu(x * 2.0)
-            return InferenceHandles(input=x, output=out)
-
-        recording = InferenceRecording(trace(rng.normal(size=(256, 256))))
-        assert not any(step.shardable for step in recording._plan.steps)
+        assert replay_thread_count() == 1
+        names = [thread.name for thread in threading.enumerate()]
+        assert not any(name.startswith("repro-replay") for name in names), names
 
 
 class TestParallelProfiler:
-    def test_parallel_replays_report_wave_stats(self, rng, monkeypatch):
+    def test_serial_replays_keep_the_classic_row(self, rng):
         weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
         trace = _wide_grad_trace(weight)
         captured = CapturedExecution()
-        monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
-        with profile_ops() as profiler:
-            for _ in range(3):
-                captured.run(trace, rng.normal(size=(64, 16)), key="prof")
-        stats = profiler.as_dict()
-        assert captured.stats.replays == 1  # run 1 is eager warm-up, run 2 records
-        row = stats["captured_replay_parallel"]
-        assert row["calls"] == 1
-        meta = row["meta"]
-        assert meta["threads"] == 4
-        assert meta["waves"] >= 2
-        assert meta["max_wave_width"] >= len(_BRANCH_SCALES)
-        assert 0.0 < meta["utilization"] <= 1.0
-        assert "captured_replay_parallel" in profiler.table()
-
-    def test_serial_replays_keep_the_classic_row(self, rng, monkeypatch):
-        weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
-        trace = _wide_grad_trace(weight)
-        captured = CapturedExecution()
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "1")
         with profile_ops() as profiler:
             for _ in range(3):
                 captured.run(trace, rng.normal(size=(8, 16)), key="prof")
@@ -358,7 +199,7 @@ class TestPlanBuilderUnits:
         for _ in range(3):
             value = value.tanh()
             nodes.append(value)
-        plan = _build_replay_plan(nodes)
+        plan = ReplayPlan(nodes)
         assert len(plan) == 1  # one fused chain
-        assert plan.wave_count == 1
+        assert (plan.fused_chains, plan.fused_ops) == (1, 3)
         assert list(plan) == plan.steps

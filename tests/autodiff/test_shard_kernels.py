@@ -1,20 +1,19 @@
-"""Bit-identity tests for batch-axis sharding of heavyweight kernels.
+"""Bit-identity tests for canonical banding of heavyweight kernels.
 
 conv2d, matmul and the pooling ops compute in *canonical bands* whenever
 their shapes pass :func:`repro.autodiff.sharding.banded` (a pure function of
-shapes and FLOPs), and replays may split those bands into contiguous shard
-spans.  The invariant under test: **every shard count and every thread count
-produces byte-identical forward values and gradients** — the cost model only
-moves bands between threads, it never changes what they compute.
+shapes and FLOPs), in eager mode and in replays alike.  The invariants
+under test: a replay reruns each banded kernel **in place** into the node's
+recorded buffer and reproduces the eager bytes, and replayed gradients of a
+banded conv tower equal eager ones byte for byte.
 
-Most fixtures lower ``REPRO_SHARD_MIN_FLOPS`` so small test tensors band;
-the floor is read per call, so each test's recordings and replays see one
-consistent value.
+Most fixtures lower :data:`~repro.autodiff.sharding.MIN_BAND_FLOPS` so small
+test tensors band; the floor is read per call, so each test's recordings
+and replays see one consistent value.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 
 import numpy as np
@@ -27,12 +26,12 @@ from repro.autodiff import (
     TraceHandles,
     frozen_parameters,
     get_default_dtype,
-    profile_ops,
     set_default_dtype,
 )
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
 from repro.autodiff import sharding
+from repro.autodiff.capture import _ReplayNode
 from repro.autodiff.conv import avg_pool2d, conv2d, max_pool2d
 from repro.autodiff.numeric import numerical_gradient, relative_error
 
@@ -40,63 +39,17 @@ from repro.autodiff.numeric import numerical_gradient, relative_error
 @pytest.fixture
 def low_floor(monkeypatch):
     """Band every heavy kernel call the fixtures make, however small."""
-    monkeypatch.setenv("REPRO_SHARD_MIN_FLOPS", "1")
-
-
-@pytest.fixture
-def force_parallel(monkeypatch):
-    """Bypass the core clamp so parallel paths run on few-core CI hosts."""
-    monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
+    monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
 
 
 class TestCostModel:
-    def test_banded_is_shape_and_flop_driven(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_MIN_FLOPS", raising=False)
-        floor = sharding.min_band_flops()
+    def test_banded_is_shape_and_flop_driven(self):
+        floor = sharding.MIN_BAND_FLOPS
         assert not sharding.banded(1, 10 * floor)  # one band = nothing to split
         assert sharding.banded(2, floor)
         assert not sharding.banded(2, floor - 1)
         # Many tiny bands fail the per-band floor even when the total passes.
         assert not sharding.banded(floor, floor)
-
-    def test_floor_env_override_and_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_MIN_FLOPS", "123")
-        assert sharding.min_band_flops() == 123
-        monkeypatch.setenv("REPRO_SHARD_MIN_FLOPS", "lots")
-        with pytest.raises(ValueError, match="REPRO_SHARD_MIN_FLOPS"):
-            sharding.min_band_flops()
-
-    def test_decide_shards_caps(self):
-        seconds = 100 * sharding.MIN_SHARD_SECONDS
-        assert sharding.decide_shards(seconds, 8, 1) == 1  # no workers
-        assert sharding.decide_shards(seconds, 1, 8) == 1  # nothing to split
-        assert sharding.decide_shards(seconds, 8, 4) == 4  # worker cap
-        assert sharding.decide_shards(seconds, 2, 8) == 2  # band cap
-        # Cost cap: a step worth ~2 min slices stays in 2 pieces on 8 workers.
-        assert sharding.decide_shards(2.5 * sharding.MIN_SHARD_SECONDS, 64, 8) == 2
-
-    def test_partition_is_contiguous_and_ragged_aware(self):
-        assert sharding.partition(7, 3) == [(0, 3), (3, 5), (5, 7)]
-        assert sharding.partition(4, 9) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        for units, shards in [(7, 2), (64, 5), (3, 3), (5, 1)]:
-            spans = sharding.partition(units, shards)
-            assert spans[0][0] == 0 and spans[-1][1] == units
-            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-
-    def test_fan_out_wins_requires_modeled_win(self):
-        assert not sharding.fan_out_wins(1.0, 1, 8)  # one unit
-        assert not sharding.fan_out_wins(1.0, 8, 1)  # one worker
-        assert sharding.fan_out_wins(10e-3, 4, 4)
-        # Tiny waves never pay for their task overhead.
-        assert not sharding.fan_out_wins(50e-6, 4, 4)
-
-    def test_effective_workers_clamps_to_cores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLAY_FORCE_PARALLEL", raising=False)
-        cores = os.cpu_count() or 1
-        assert sharding.effective_workers(1) == 1
-        assert sharding.effective_workers(16 * cores) == cores
-        monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
-        assert sharding.effective_workers(16 * cores) == 16 * cores
 
 
 def _apply(name, arrays, params):
@@ -120,52 +73,32 @@ def _shard_parity_cases(rng):
 
 
 class TestShardCountParity:
-    def test_forward_shard_matches_eager_at_any_shard_count(self, rng, low_floor):
-        """Re-running forward_shard over {1, 2, 5, batch} spans reproduces eager."""
+    def test_in_place_replay_kernel_matches_eager(self, rng, low_floor):
+        """Rerunning a banded kernel into the recorded buffer reproduces eager."""
+        scratch = sharding.scratch_pool().stats
         for name, arrays, params in _shard_parity_cases(rng):
             node = _apply(name, arrays, params)
             call = node._op_call
-            op = call.op
-            in_shapes = tuple(t.data.shape for t in call.tensors)
-            units = op.shard_units(in_shapes, node.data.shape, call.params, node.data.itemsize)
-            assert units >= 2, f"{name}: fixture too small to band"
-            inputs = tuple(t.data for t in call.tensors)
-            for shards in {1, 2, 5, units}:
-                out = np.empty_like(node.data)
-                for start, stop in sharding.partition(units, shards):
-                    op.forward_shard(inputs, call.params, call.saved, out, start, stop)
-                assert out.tobytes() == node.data.tobytes(), f"{name} shards={shards}"
+            expected = node.data.copy()
+            buffer = node.data
+            node.data[...] = 0
+            takes = scratch.allocations + scratch.reuses
+            assert call.kernel(out=buffer) is buffer, f"{name}: kernel did not write in place"
+            assert buffer.tobytes() == expected.tobytes(), name
+            if name != "matmul":
+                # conv bands and pool unfolds draw their temporaries from
+                # the scratch pool instead of allocating per replay.
+                assert scratch.allocations + scratch.reuses > takes, name
+            step = _ReplayNode(node)
+            assert step.call is call, f"{name}: replay step would rerun the thunk"
 
     def test_matmul_below_one_band_stays_whole(self, rng):
-        """2-D matmuls under the canonical band height never shard."""
+        """2-D matmuls under the canonical band height never band."""
         a, b = rng.normal(size=(32, 64)), rng.normal(size=(64, 16))
         node = _apply("matmul", [a, b], {})
-        op = node._op_call.op
-        assert op.shard_units((a.shape, b.shape), node.data.shape, {}, 8) == 0
+        assert op_registry._matmul_band_count(a.shape, b.shape) == 0
         landed = tuple(t.data for t in node._op_call.tensors)
         assert node.data.tobytes() == (landed[0] @ landed[1]).tobytes()
-
-    def test_backward_matches_serial_at_every_thread_count(self, rng, low_floor, force_parallel, monkeypatch):
-        """Sharded backward (active runner) is byte-identical to runnerless."""
-        from repro.autodiff.capture import _shared_executor
-
-        for name, arrays, params in _shard_parity_cases(rng):
-            grads = {}
-            for workers in (1, 2, 8):
-                node = _apply(name, arrays, params)
-                probe = np.random.default_rng(11).normal(size=node.shape)
-                if workers == 1:
-                    node.backward(probe)
-                else:
-                    runner = sharding.ShardRunner(_shared_executor(workers), workers)
-                    with sharding.runner_scope(runner):
-                        node.backward(probe)
-                grads[workers] = [np.array(t.grad) for t in node.parents]
-            for workers in (2, 8):
-                for serial, threaded in zip(grads[1], grads[workers]):
-                    assert serial.tobytes() == threaded.tobytes(), (
-                        f"{name} workers={workers}"
-                    )
 
 
 def _tower_weights(rng, dtype):
@@ -198,9 +131,7 @@ def _tower_trace(weights):
 
 
 class TestCapturedTowerParity:
-    @pytest.mark.parametrize("threads", ["1", "2", "8"])
-    def test_replayed_tower_grads_match_eager(self, rng, low_floor, force_parallel, monkeypatch, threads):
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", threads)
+    def test_replayed_tower_grads_match_eager(self, rng, low_floor):
         dtype = get_default_dtype()
         weights = _tower_weights(rng, dtype)
         trace = _tower_trace(weights)
@@ -210,41 +141,14 @@ class TestCapturedTowerParity:
             expected = eager.run(trace, batch)
             actual = captured.run(trace, batch, key="tower")
             assert expected.objective.data.tobytes() == actual.objective.data.tobytes(), (
-                f"threads={threads} trial={trial}"
+                f"trial={trial}"
             )
             assert np.array(expected.input.grad).tobytes() == np.array(actual.input.grad).tobytes(), (
-                f"threads={threads} trial={trial}"
+                f"trial={trial}"
             )
         assert captured.stats.replays >= 2
 
-    def test_replay_is_sharded_and_reports_shard_stats(self, rng, low_floor, force_parallel, monkeypatch):
-        from repro.autodiff.capture import _ShardedNode
-
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
-        dtype = get_default_dtype()
-        weights = _tower_weights(rng, dtype)
-        trace = _tower_trace(weights)
-        captured = CapturedExecution()
-        batch = rng.normal(size=(8, 3, 16, 16)).astype(dtype)
-        with profile_ops() as profiler:
-            for _ in range(4):
-                captured.run(trace, batch, key="tower-prof")
-        recording = next(iter(captured._recordings.values()))
-        sharded_ops = {
-            step.call.op.name
-            for step in recording._plan.steps
-            if isinstance(step, _ShardedNode)
-        }
-        assert {"conv2d", "max_pool2d", "avg_pool2d"} <= sharded_ops
-        stats = profiler.as_dict()
-        row = stats["conv2d_sharded"]
-        assert row["calls"] >= 2
-        assert row["meta"]["shards"] >= 2
-        assert row["meta"]["shard_elements"] >= 1
-        assert "conv2d_grad_sharded" in stats
-
-    def test_frozen_parameters_skip_weight_grads_in_sharded_replays(self, rng, low_floor, force_parallel, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
+    def test_frozen_parameters_skip_weight_grads_in_sharded_replays(self, rng, low_floor):
         dtype = get_default_dtype()
         weights = _tower_weights(rng, dtype)
         trace = _tower_trace(weights)
@@ -266,14 +170,14 @@ class TestBandedGradcheck:
     """Numeric gradchecks of the banded kernel paths.
 
     The registry-wide gradcheck sweep runs under the default FLOP floor,
-    where most samples stay whole; these re-run every shard-marked op's
+    where most samples stay whole; these re-run every banded op's
     samples with the floor at 1 so the banded forward/backward code paths
     are the ones being differentiated.
     """
 
     @pytest.fixture(autouse=True)
     def _banded_float64(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_MIN_FLOPS", "1")
+        monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
         previous = get_default_dtype()
         set_default_dtype("float64")
         yield

@@ -2,18 +2,18 @@
 
 Two invariants under test, both stronger than "numerically close":
 
-* **Tree-reduced cross-batch gradients** — sharded backward kernels compute
+* **Tree-reduced cross-batch gradients** — banded backward kernels compute
   per-band partial gradients into pooled slabs and combine them through
   :func:`repro.autodiff.sharding.tree_reduce`, whose combine order is a pure
   function of the band count.  The reduced bytes must therefore be identical
-  at every shard count and every thread count.
+  from one backward pass to the next, in eager mode and in replays.
 
 * **Spatial (H×W) banding for batch 1** — with a single sample there is no
   batch axis to shard, so conv2d and the pooling ops band over output rows
   instead (:data:`SPATIAL_BAND_ROWS` rows per band, halo-aware input
-  windows).  im2col is pure copies, so the assembled unfold — and hence the
-  banded forward — must be byte-identical to the whole-image path band
-  layout notwithstanding.
+  windows).  im2col is pure copies, so the assembled unfold is
+  byte-identical to the whole-image one, and a replay that reruns the banded
+  kernel in place reproduces the eager bytes.
 """
 
 from __future__ import annotations
@@ -70,13 +70,7 @@ def _tower_trace(weights):
 @pytest.fixture
 def low_floor(monkeypatch):
     """Band every heavy kernel call the fixtures make, however small."""
-    monkeypatch.setenv("REPRO_SHARD_MIN_FLOPS", "1")
-
-
-@pytest.fixture
-def force_parallel(monkeypatch):
-    """Bypass the core clamp so parallel paths run on few-core CI hosts."""
-    monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
+    monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
 
 
 def _sha(array: np.ndarray) -> str:
@@ -115,49 +109,28 @@ class TestTreeReduce:
 
 
 class TestReduceBands:
-    """reduce_bands fans leaf computation out but fixes the combine order."""
+    """reduce_bands fills one pooled slab per band and tree-combines them."""
 
-    def _partial(self, bands, rng):
-        partials = [rng.normal(size=(8, 6)) for _ in range(bands)]
+    def test_profiler_row_records_partial_bytes(self, rng):
+        units = 6
+        partials = [rng.normal(size=(8, 6)) for _ in range(units)]
 
         def fill(band: int, slab: np.ndarray) -> None:
             np.copyto(slab, partials[band])
 
-        return fill
-
-    def test_runnerless_matches_threaded_at_every_worker_count(self, rng):
-        from repro.autodiff.capture import _shared_executor
-
-        units = 7
-        fill = self._partial(units, rng)
-        seconds = 100 * sharding.MIN_SHARD_SECONDS
-        serial = np.empty((8, 6))
-        sharding.reduce_bands(units, seconds, fill, serial)
-        for workers in (2, 8):
-            runner = sharding.ShardRunner(_shared_executor(workers), workers)
-            threaded = np.empty((8, 6))
-            sharding.reduce_bands(units, seconds, fill, threaded, runner=runner)
-            assert serial.tobytes() == threaded.tobytes(), f"workers={workers}"
-
-    def test_profiler_row_records_shards_and_partial_bytes(self, rng):
-        from repro.autodiff.capture import _shared_executor
-
-        units = 6
-        fill = self._partial(units, rng)
         out = np.empty((8, 6))
-        runner = sharding.ShardRunner(_shared_executor(4), 4)
         with profile_ops() as profiler:
-            sharding.reduce_bands(
-                units, 100 * sharding.MIN_SHARD_SECONDS, fill, out, runner=runner, name="demo"
-            )
+            sharding.reduce_bands(units, fill, out, name="demo")
+        expected = np.empty((8, 6))
+        sharding.tree_reduce([p.copy() for p in partials], expected)
+        assert out.tobytes() == expected.tobytes()
         row = profiler.as_dict()["demo_treereduce"]
         assert row["calls"] == 1
-        assert row["meta"]["shards"] >= 2
         assert row["meta"]["partial_bytes"] == units * out.nbytes
 
 
 class TestGradTreeReduceParity:
-    """Gradients are byte-identical across shard counts {1, 2, 5, units}."""
+    """Tree-reduced gradients are reproducible and agree with the whole kernel."""
 
     def _grad_cases(self, rng):
         return [
@@ -167,41 +140,23 @@ class TestGradTreeReduceParity:
             ("matmul", [rng.normal(size=(6, 20, 5)), rng.normal(size=(5, 7))], {}),
         ]
 
-    def test_grads_identical_across_shard_and_thread_counts(
-        self, rng, low_floor, force_parallel, monkeypatch
-    ):
-        from repro.autodiff.capture import _shared_executor
+    def _grads(self, name, arrays, params):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        node = op_registry.apply(name, tensors, dict(params))
+        node.backward(np.random.default_rng(7).normal(size=node.shape))
+        return [np.array(t.grad) for t in tensors]
 
+    def test_banded_grads_are_reproducible_and_close_to_whole(self, rng, monkeypatch):
         for name, arrays, params in self._grad_cases(rng):
-            probe_rng = np.random.default_rng(7)
-            reference = None
-            # decide_shards picks the shard count from (seconds, units,
-            # workers); pinning it exercises explicit counts {1, 2, 5, units}.
-            for shards in (1, 2, 5, None):
-                if shards is not None:
-                    monkeypatch.setattr(
-                        sharding, "decide_shards", lambda s, u, w, _n=shards: min(_n, u)
-                    )
-                else:
-                    monkeypatch.undo()
-                    monkeypatch.setenv("REPRO_SHARD_MIN_FLOPS", "1")
-                    monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
-                for workers in (1, 2, 8):
-                    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-                    node = op_registry.apply(name, tensors, dict(params))
-                    probe = np.random.default_rng(7).normal(size=node.shape)
-                    if workers == 1:
-                        node.backward(probe)
-                    else:
-                        runner = sharding.ShardRunner(_shared_executor(workers), workers)
-                        with sharding.runner_scope(runner):
-                            node.backward(probe)
-                    digest = tuple(_sha(t.grad) for t in tensors)
-                    if reference is None:
-                        reference = digest
-                    assert digest == reference, (
-                        f"{name} shards={shards} workers={workers}"
-                    )
+            whole = self._grads(name, arrays, params)
+            monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
+            banded = self._grads(name, arrays, params)
+            again = self._grads(name, arrays, params)
+            monkeypatch.undo()
+            assert [_sha(g) for g in banded] == [_sha(g) for g in again], name
+            tol = 1e4 * np.finfo(banded[0].dtype).eps
+            for b, w in zip(banded, whole):
+                np.testing.assert_allclose(b, w, rtol=tol, atol=tol, err_msg=name)
 
 
 @pytest.mark.parametrize(
@@ -233,7 +188,7 @@ class TestSpatialWindowHalo:
 
 
 class TestSpatialForwardShards:
-    """Batch-1 forward_shard over output-row bands reproduces the whole op."""
+    """Batch-1 kernels banded over output rows replay in place, exactly."""
 
     def _spatial_cases(self, rng):
         return [
@@ -245,40 +200,30 @@ class TestSpatialForwardShards:
             ("avg_pool2d", [rng.normal(size=(1, 4, 18, 18))], {"kernel": 2, "stride": 2}),
         ]
 
-    def test_spatial_shards_match_whole_at_any_shard_count(self, rng, low_floor):
+    def test_spatial_in_place_replay_matches_eager(self, rng, low_floor):
         for name, arrays, params in self._spatial_cases(rng):
             tensors = [Tensor(a, requires_grad=True) for a in arrays]
             node = op_registry.apply(name, tensors, dict(params))
             call = node._op_call
-            op = call.op
-            in_shapes = tuple(t.data.shape for t in call.tensors)
-            units = op.shard_units(in_shapes, node.data.shape, call.params, node.data.itemsize)
-            assert units >= 2, f"{name}: fixture too small for spatial bands"
-            inputs = tuple(t.data for t in call.tensors)
-            for shards in {1, 2, units}:
-                out = np.empty_like(node.data)
-                for start, stop in sharding.partition(units, shards):
-                    op.forward_shard(inputs, call.params, call.saved, out, start, stop)
-                assert out.tobytes() == node.data.tobytes(), f"{name} shards={shards}"
+            if name == "conv2d":
+                units = op_registry._conv2d_band_count(call.inputs, call.params)
+                assert units >= 2, f"{name}: fixture too small for spatial bands"
+            expected = node.data.copy()
+            node.data[...] = 0
+            assert call.kernel(out=node.data) is node.data, name
+            assert node.data.tobytes() == expected.tobytes(), name
 
     def test_batch_of_two_still_bands_on_samples(self, rng, low_floor):
         """n >= 2 keeps the batch axis: units == n, not spatial bands."""
         arrays = [rng.normal(size=(2, 3, 16, 16)), rng.normal(size=(4, 3, 3, 3))]
         tensors = [Tensor(a) for a in arrays]
         node = op_registry.apply("conv2d", tensors, {"stride": 1, "padding": 1})
-        op = node._op_call.op
-        units = op.shard_units(
-            tuple(a.shape for a in arrays), node.data.shape, {"stride": 1, "padding": 1}, 8
-        )
-        assert units == 2
+        call = node._op_call
+        assert op_registry._conv2d_band_count(call.inputs, call.params) == 2
 
 
 class TestBatch1CapturedTower:
-    @pytest.mark.parametrize("threads", ["1", "2", "8"])
-    def test_batch1_replay_matches_eager_sha256(
-        self, rng, low_floor, force_parallel, monkeypatch, threads
-    ):
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", threads)
+    def test_batch1_replay_matches_eager_sha256(self, rng, low_floor):
         dtype = get_default_dtype()
         weights = _tower_weights(rng, dtype)
         trace = _tower_trace(weights)
@@ -287,48 +232,16 @@ class TestBatch1CapturedTower:
             batch = rng.normal(size=(1, 3, 16, 16)).astype(dtype)
             expected = eager.run(trace, batch)
             actual = captured.run(trace, batch, key="tower-b1")
-            assert _sha(expected.objective.data) == _sha(actual.objective.data), (
-                f"threads={threads} trial={trial}"
-            )
+            assert _sha(expected.objective.data) == _sha(actual.objective.data), f"trial={trial}"
             assert _sha(np.array(expected.input.grad)) == _sha(np.array(actual.input.grad)), (
-                f"threads={threads} trial={trial}"
+                f"trial={trial}"
             )
         assert captured.stats.replays >= 1
 
-    def test_batch1_replay_reports_spatial_profile_rows(
-        self, rng, low_floor, force_parallel, monkeypatch
-    ):
-        from repro.autodiff.capture import _ShardedNode
-
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
-        dtype = get_default_dtype()
-        # 48x48 keeps the per-conv cost above the shard floor at batch 1, so
-        # the replay actually fans the spatial bands out (16x16 stays whole).
-        weights = _tower_weights(rng, dtype, head_features=8 * 12 * 12)
-        trace = _tower_trace(weights)
-        captured = CapturedExecution()
-        batch = rng.normal(size=(1, 3, 48, 48)).astype(dtype)
-        with profile_ops() as profiler:
-            for _ in range(6):
-                captured.run(trace, batch, key="tower-b1-prof")
-        recording = next(iter(captured._recordings.values()))
-        spatial_names = {
-            step.profile_name
-            for step in recording._plan.steps
-            if isinstance(step, _ShardedNode)
-        }
-        assert "conv2d_spatial" in spatial_names
-        stats = profiler.as_dict()
-        assert stats["conv2d_spatial"]["calls"] >= 2
-        assert stats["conv2d_spatial"]["meta"]["shards"] >= 2
-
 
 class TestScratchPoolWarmReplay:
-    def test_warm_reduce_replays_allocate_zero_new_slabs(
-        self, rng, low_floor, force_parallel, monkeypatch
-    ):
+    def test_warm_reduce_replays_allocate_zero_new_slabs(self, rng, low_floor):
         """After one cold replay the scratch pool serves every later one."""
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
         dtype = get_default_dtype()
         weights = _tower_weights(rng, dtype)
         trace = _tower_trace(weights)
