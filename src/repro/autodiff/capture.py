@@ -22,9 +22,9 @@ redraws its mask per call) transparently fall back to eager execution.
 A replay is a plain step list run front to back on the calling thread.
 Consecutive elementwise registry ops fuse into one step that writes each
 node's buffer through the kernels' ``out=`` support; every other registry op
-runs its kernel with the node's recorded buffer as ``out``, so the banded
-heavy kernels (conv2d, matmul, pooling — see :mod:`repro.autodiff.sharding`)
-refill their buffers in place without a fresh allocation.
+runs its kernel with the node's recorded buffer as ``out``, so the heavy
+kernels (sample-banded conv2d — see :mod:`repro.autodiff.sharding` — whole
+matmul, pooling) refill their buffers in place without a fresh allocation.
 
 A recording owns its buffers, so it must not be shared across threads, and it
 assumes the model parameters do not change between replays (true for the
@@ -70,8 +70,8 @@ class _ReplayNode:
     """One non-fused replay step: rerun the node's kernel into its buffer.
 
     Registry ops whose operands share the output dtype get the node's
-    recorded buffer as ``out``; kernels that honour it (the banded heavy
-    kernels, ``_store``-style ops) write in place.  Anything else — opaque
+    recorded buffer as ``out``; kernels that honour it (the heavy kernels,
+    ``_store``-style ops) write in place.  Anything else — opaque
     thunks, mixed-dtype calls — reruns the thunk.  Whether the result still
     needs copying into the buffer is decided lazily on the first replay:
     in-place kernels return the buffer itself, and view-producing ops

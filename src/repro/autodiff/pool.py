@@ -19,10 +19,10 @@ dispatcher (:func:`repro.autodiff.ops.apply`) then feeds elementwise kernels
 pooled ``out=`` arrays whenever the result dtype matches the engine default
 (mixed-dtype calls keep the compute-then-cast semantics untouched).
 
-Banded heavy kernels use a second, process-wide instance
+Heavy kernels use a second, process-wide instance
 (:func:`repro.autodiff.sharding.scratch_pool`) through :meth:`BufferPool.take`
-/ :meth:`BufferPool.release` pairs scoped to one kernel call: im2col windows,
-per-band GEMM results and tree-reduce partials.  Warm replays of a recorded
+/ :meth:`BufferPool.release` pairs scoped to one kernel call: im2col padding,
+per-sample GEMM results and pooling unfolds.  Warm replays of a recorded
 graph therefore allocate no new scratch.
 """
 

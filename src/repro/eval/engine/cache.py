@@ -22,6 +22,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
+import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -70,6 +72,9 @@ class CacheStats:
     defender_hits: int = 0
     defender_misses: int = 0
     disk_hits: int = 0
+    #: Disk archives found but not used (unreadable or no longer fitting the
+    #: architecture); each one is retrained and overwritten.
+    disk_discards: int = 0
     trainings: int = 0
     evictions: int = 0
 
@@ -168,6 +173,7 @@ class ArtifactCache:
                     model_name,
                     error,
                 )
+                self.stats.disk_discards += 1
                 state = None
         if state is not None:
             self.stats.defender_hits += 1
@@ -215,8 +221,11 @@ class ArtifactCache:
             return None
         try:
             state = load_state(path)
-        except (OSError, ValueError) as error:
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as error:
+            # Truncated, empty or corrupted archives raise EOFError or
+            # BadZipFile from the zip reader; all of them mean "retrain".
             _LOGGER.warning("discarding unreadable cached defender %s: %s", path, error)
+            self.stats.disk_discards += 1
             return None
         # Refresh the LRU clock: a read makes the artifact recently-used, so
         # the eviction pass removes cold checkpoints first.
@@ -239,7 +248,18 @@ class ArtifactCache:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        save_state(path, model.state_dict())
+        # Write a temporary archive next to the final one and rename it into
+        # place, so a crash mid-write never leaves a truncated ``.npz``.
+        handle = tempfile.NamedTemporaryFile(
+            dir=path.parent, prefix=f".{key}.", suffix=".npz.tmp", delete=False
+        )
+        try:
+            with handle:
+                save_state(handle, model.state_dict())
+            os.replace(handle.name, path)
+        except BaseException:
+            Path(handle.name).unlink(missing_ok=True)
+            raise
         metadata = {name: getattr(config, name) for name in DEFENDER_KEY_FIELDS}
         metadata.update(
             model=model_name,

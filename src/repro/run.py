@@ -107,9 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect per-op kernel counters (counts, seconds, FLOPs, bytes) "
         "during the run and print the profile table afterwards; captured "
-        "replays report wholesale as captured_replay, tree-reduced gradients "
-        "as <op>_treereduce (process workers don't feed the in-process "
-        "profiler)",
+        "replays report wholesale as captured_replay (process workers don't "
+        "feed the in-process profiler)",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="INFO-level progress logs")
     return parser

@@ -18,9 +18,8 @@ Two front doors over the same scheduling core
   this container are not row-bit-stable across batch sizes, so batched GEMMs
   would break the "continuous logits == single-request eager logits"
   guarantee the acceptance tests pin.  Every kernel therefore sees batch 1
-  and runs on the calling thread; heavy batch-1 kernels band over output
-  rows (:mod:`repro.autodiff.sharding`), which fixes their bytes whatever
-  the cohort.  The cohort still pays exactly one
+  and runs whole on the calling thread, which fixes its bytes whatever the
+  cohort.  The cohort still pays exactly one
   enter/exit switch pair per secure edge (the crossing amortisation that
   makes batching worth anything in a TEE), charged to the real enclave
   boundary with the cohort's summed payload bytes.

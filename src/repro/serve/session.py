@@ -12,7 +12,9 @@ the untrusted normal world hosting the trunk) sees ciphertext only.
 
 A tampered quote or an unknown session raises
 :class:`~repro.tee.errors.AttestationError` /
-:class:`~repro.tee.errors.SecureChannelError` and no query path exists.
+:class:`~repro.tee.errors.SecureChannelError` and no query path exists; a
+sealed query whose shape/dtype metadata does not fit its ciphertext raises
+:class:`~repro.tee.errors.SecureChannelError` too.
 """
 
 from __future__ import annotations
@@ -61,9 +63,7 @@ class ServingSession:
         return SealedQuery(self.session_id, message, tuple(shape), np.dtype(dtype).str)
 
     def open_reply(self, reply: SealedReply) -> np.ndarray:
-        return self._reply_channel.decrypt_array(
-            reply.message, tuple(reply.shape), np.dtype(reply.dtype)
-        )
+        return self._reply_channel.decrypt_array(reply.message, reply.shape, reply.dtype)
 
 
 class SessionManager:
@@ -119,9 +119,7 @@ class SessionManager:
     def unseal_query(self, sealed: SealedQuery) -> np.ndarray:
         """Decrypt a sealed query at the enclave edge (integrity-checked)."""
         query_channel, _ = self._require(sealed.session_id)
-        return query_channel.decrypt_array(
-            sealed.message, tuple(sealed.shape), np.dtype(sealed.dtype)
-        )
+        return query_channel.decrypt_array(sealed.message, sealed.shape, sealed.dtype)
 
     def seal_reply(self, session_id: str, logits: np.ndarray) -> SealedReply:
         """Encrypt one request's logits for the session's client."""

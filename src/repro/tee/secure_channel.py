@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +81,28 @@ class SecureChannel:
         return self.encrypt(array.tobytes()), array.shape, array.dtype
 
     def decrypt_array(self, message: EncryptedMessage, shape: tuple, dtype) -> np.ndarray:
-        """Decrypt an array previously produced by :meth:`encrypt_array`."""
+        """Decrypt an array previously produced by :meth:`encrypt_array`.
+
+        The ``shape``/``dtype`` metadata travels beside the message, outside
+        the MAC, so it is checked before decryption: a non-numeric dtype, a
+        malformed shape, or a byte count the shape and dtype do not account
+        for raises :class:`SecureChannelError`.  Metadata that re-labels the
+        payload with the same byte count (say float64 ``(3, 4, 4)`` as
+        float32 ``(3, 4, 8)``) still decodes; only covering the metadata by
+        the MAC would catch that.
+        """
+        try:
+            dtype = np.dtype(dtype)
+            shape = tuple(operator.index(dim) for dim in shape)
+        except (TypeError, ValueError) as error:
+            raise SecureChannelError(f"malformed array metadata: {error}") from error
+        if not np.issubdtype(dtype, np.number):
+            raise SecureChannelError(f"array dtype {dtype} is not numeric")
+        nbytes = len(message.ciphertext)
+        if any(dim < 0 for dim in shape) or math.prod(shape) * dtype.itemsize != nbytes:
+            raise SecureChannelError(
+                f"a {nbytes}-byte payload is not a {dtype} array of shape {shape}"
+            )
         payload = self.decrypt(message)
         return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 

@@ -1,4 +1,4 @@
-"""Shared precision helpers for the autodiff test suite.
+"""Shared precision helpers and fixtures for the autodiff test suite.
 
 CI runs this directory under both ``REPRO_DTYPE=float64`` and ``float32``
 (the fusion and pooling layers must be dtype-clean), so numeric-gradient
@@ -9,8 +9,19 @@ from the active default dtype instead of assuming double precision.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.autodiff import get_default_dtype
+from repro.autodiff import get_default_dtype, sharding
+
+
+@pytest.fixture
+def low_floor(monkeypatch):
+    """Band every conv2d call the fixtures make, however small.
+
+    The floor is read per call, so each test's recordings and replays see
+    one consistent value.
+    """
+    monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
 
 
 def is_float64() -> bool:

@@ -178,7 +178,7 @@ class TestParallelProfiler:
 
         def hammer():
             for _ in range(per_thread):
-                profiler.record("hammer", 0.001, 10, 20, meta={"width": 3})
+                profiler.record("hammer", 0.001, 10, 20)
 
         threads = [threading.Thread(target=hammer) for _ in range(workers)]
         for thread in threads:
@@ -188,7 +188,7 @@ class TestParallelProfiler:
         stat = profiler.as_dict()["hammer"]
         assert stat["calls"] == per_thread * workers
         assert stat["flops"] == 10 * per_thread * workers
-        assert stat["meta"]["width"] == 3
+        assert stat["bytes_moved"] == 20 * per_thread * workers
 
 
 class TestPlanBuilderUnits:

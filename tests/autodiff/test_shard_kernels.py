@@ -1,15 +1,15 @@
-"""Bit-identity tests for canonical banding of heavyweight kernels.
+"""Bit-identity tests for the heavyweight kernels' in-place replays.
 
-conv2d, matmul and the pooling ops compute in *canonical bands* whenever
-their shapes pass :func:`repro.autodiff.sharding.banded` (a pure function of
-shapes and FLOPs), in eager mode and in replays alike.  The invariants
-under test: a replay reruns each banded kernel **in place** into the node's
-recorded buffer and reproduces the eager bytes, and replayed gradients of a
-banded conv tower equal eager ones byte for byte.
+conv2d computes in *canonical sample bands* whenever its shapes pass
+:func:`repro.autodiff.sharding.banded` (a pure function of shapes and
+FLOPs), in eager mode and in replays alike; matmul and the pooling ops
+always run whole.  The invariants under test: a replay reruns each heavy
+kernel **in place** into the node's recorded buffer and reproduces the
+eager bytes, and replayed gradients of a banded conv tower equal eager ones
+byte for byte.
 
-Most fixtures lower :data:`~repro.autodiff.sharding.MIN_BAND_FLOPS` so small
-test tensors band; the floor is read per call, so each test's recordings
-and replays see one consistent value.
+Most fixtures lower :data:`~repro.autodiff.sharding.MIN_BAND_FLOPS` (the
+``low_floor`` fixture) so small test tensors band.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from repro.autodiff import sharding
 from repro.autodiff.capture import _ReplayNode
 from repro.autodiff.conv import avg_pool2d, conv2d, max_pool2d
 from repro.autodiff.numeric import numerical_gradient, relative_error
-
-
-@pytest.fixture
-def low_floor(monkeypatch):
-    """Band every heavy kernel call the fixtures make, however small."""
-    monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
+from repro.autodiff.tensor import unbroadcast
 
 
 class TestCostModel:
@@ -74,7 +69,7 @@ def _shard_parity_cases(rng):
 
 class TestShardCountParity:
     def test_in_place_replay_kernel_matches_eager(self, rng, low_floor):
-        """Rerunning a banded kernel into the recorded buffer reproduces eager."""
+        """Rerunning a heavy kernel into the recorded buffer reproduces eager."""
         scratch = sharding.scratch_pool().stats
         for name, arrays, params in _shard_parity_cases(rng):
             node = _apply(name, arrays, params)
@@ -92,13 +87,46 @@ class TestShardCountParity:
             step = _ReplayNode(node)
             assert step.call is call, f"{name}: replay step would rerun the thunk"
 
-    def test_matmul_below_one_band_stays_whole(self, rng):
-        """2-D matmuls under the canonical band height never band."""
-        a, b = rng.normal(size=(32, 64)), rng.normal(size=(64, 16))
-        node = _apply("matmul", [a, b], {})
-        assert op_registry._matmul_band_count(a.shape, b.shape) == 0
-        landed = tuple(t.data for t in node._op_call.tensors)
-        assert node.data.tobytes() == (landed[0] @ landed[1]).tobytes()
+    def test_matmul_runs_whole(self, rng, low_floor):
+        """matmul never bands, whatever its FLOPs: it is one whole GEMM."""
+        for a, b in [
+            (rng.normal(size=(200, 64)), rng.normal(size=(64, 16))),
+            (rng.normal(size=(7, 12, 6)), rng.normal(size=(6, 9))),
+        ]:
+            node = _apply("matmul", [a, b], {})
+            landed = tuple(t.data for t in node._op_call.tensors)
+            assert node.data.tobytes() == np.matmul(*landed).tobytes()
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        ((68, 64), (64, 256)),      # the attack grid's ViT projections
+        ((68, 256), (256, 64)),
+        ((1088, 64), (64, 16)),     # a training-sized row count
+        ((3, 68, 64), (64, 32)),    # stacked left operand
+        ((2, 1, 5, 6), (3, 6, 4)),  # broadcast batch axes on both sides
+    ],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+class TestWholeMatmul:
+    """matmul's forward, in-place replay and gradients are plain GEMMs."""
+
+    def test_forward_replay_and_grads_are_plain_matmul(self, rng, low_floor, a_shape, b_shape):
+        node = _apply("matmul", [rng.normal(size=a_shape), rng.normal(size=b_shape)], {})
+        a, b = (tensor.data for tensor in node._op_call.tensors)
+        assert node.data.tobytes() == np.matmul(a, b).tobytes()
+        expected, buffer = node.data.copy(), node.data
+        buffer[...] = 0
+        assert node._op_call.kernel(out=buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
+        grad = rng.normal(size=node.shape).astype(node.data.dtype)
+        node.backward(grad)
+        grad_a, grad_b = (np.array(tensor.grad) for tensor in node._op_call.tensors)
+        want_a = unbroadcast(np.matmul(grad, np.swapaxes(b, -1, -2)), a.shape)
+        want_b = unbroadcast(np.matmul(np.swapaxes(a, -1, -2), grad), b.shape)
+        assert grad_a.tobytes() == want_a.tobytes()
+        assert grad_b.tobytes() == want_b.tobytes()
 
 
 def _tower_weights(rng, dtype):
@@ -170,9 +198,9 @@ class TestBandedGradcheck:
     """Numeric gradchecks of the banded kernel paths.
 
     The registry-wide gradcheck sweep runs under the default FLOP floor,
-    where most samples stay whole; these re-run every banded op's
-    samples with the floor at 1 so the banded forward/backward code paths
-    are the ones being differentiated.
+    where most samples stay whole; these re-run the conv2d and pooling
+    samples with the floor at 1 so conv2d's banded forward/backward code
+    paths are the ones being differentiated.
     """
 
     @pytest.fixture(autouse=True)
@@ -183,7 +211,7 @@ class TestBandedGradcheck:
         yield
         set_default_dtype(previous)
 
-    @pytest.mark.parametrize("name", ["conv2d", "matmul", "max_pool2d", "avg_pool2d"])
+    @pytest.mark.parametrize("name", ["conv2d", "max_pool2d", "avg_pool2d"])
     def test_banded_gradcheck(self, name):
         op = op_registry.get(name)
         for sample in op.samples:

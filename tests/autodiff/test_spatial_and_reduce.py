@@ -1,19 +1,20 @@
-"""Bit-identity tests for tree-reduced gradients and batch-1 spatial banding.
+"""Bit-identity tests for conv2d sample bands, batch-1 kernels and tree_reduce.
 
-Two invariants under test, both stronger than "numerically close":
+Three invariants under test, all stronger than "numerically close":
 
-* **Tree-reduced cross-batch gradients** — banded backward kernels compute
-  per-band partial gradients into pooled slabs and combine them through
-  :func:`repro.autodiff.sharding.tree_reduce`, whose combine order is a pure
-  function of the band count.  The reduced bytes must therefore be identical
-  from one backward pass to the next, in eager mode and in replays.
+* **Sample bands share the whole unfold.**  A banded conv2d unfolds each
+  sample into its own rows of the saved ``col`` matrix; im2col is pure
+  copies, so the assembled matrix is byte-identical to the whole-batch
+  unfold, and the weight/bias gradients (one whole GEMM and one whole sum
+  over ``col``) equal the unbanded kernel's byte for byte.
 
-* **Spatial (H×W) banding for batch 1** — with a single sample there is no
-  batch axis to shard, so conv2d and the pooling ops band over output rows
-  instead (:data:`SPATIAL_BAND_ROWS` rows per band, halo-aware input
-  windows).  im2col is pure copies, so the assembled unfold is
-  byte-identical to the whole-image one, and a replay that reruns the banded
-  kernel in place reproduces the eager bytes.
+* **Batch-1 kernels run whole.**  A single sample has no batch axis to band
+  over, so batch-1 conv2d and pooling run their whole kernels; a replay
+  that reruns them in place reproduces the eager bytes.
+
+* **Fixed-order tree reduce.**  :func:`repro.autodiff.sharding.tree_reduce`
+  combines slabs in an order fixed by the slab count, so its bytes are
+  identical from one call to the next.
 """
 
 from __future__ import annotations
@@ -67,12 +68,6 @@ def _tower_trace(weights):
     return trace
 
 
-@pytest.fixture
-def low_floor(monkeypatch):
-    """Band every heavy kernel call the fixtures make, however small."""
-    monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
-
-
 def _sha(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
@@ -108,89 +103,87 @@ class TestTreeReduce:
         np.testing.assert_allclose(expected, fold, rtol=1e-9, atol=1e-12)
 
 
-class TestReduceBands:
-    """reduce_bands fills one pooled slab per band and tree-combines them."""
+class TestBandedGradParity:
+    """Banded conv weight/bias gradients equal the whole kernel's bytes."""
 
-    def test_profiler_row_records_partial_bytes(self, rng):
-        units = 6
-        partials = [rng.normal(size=(8, 6)) for _ in range(units)]
-
-        def fill(band: int, slab: np.ndarray) -> None:
-            np.copyto(slab, partials[band])
-
-        out = np.empty((8, 6))
-        with profile_ops() as profiler:
-            sharding.reduce_bands(units, fill, out, name="demo")
-        expected = np.empty((8, 6))
-        sharding.tree_reduce([p.copy() for p in partials], expected)
-        assert out.tobytes() == expected.tobytes()
-        row = profiler.as_dict()["demo_treereduce"]
-        assert row["calls"] == 1
-        assert row["meta"]["partial_bytes"] == units * out.nbytes
-
-
-class TestGradTreeReduceParity:
-    """Tree-reduced gradients are reproducible and agree with the whole kernel."""
-
-    def _grad_cases(self, rng):
-        return [
-            ("conv2d", [rng.normal(size=(6, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3)),
-                        rng.normal(size=(4,))], {"stride": 1, "padding": 1}),
-            ("matmul", [rng.normal(size=(256, 12)), rng.normal(size=(12, 8))], {}),
-            ("matmul", [rng.normal(size=(6, 20, 5)), rng.normal(size=(5, 7))], {}),
-        ]
-
-    def _grads(self, name, arrays, params):
+    def _grads(self, arrays, params):
         tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        node = op_registry.apply(name, tensors, dict(params))
+        node = op_registry.apply("conv2d", tensors, dict(params))
         node.backward(np.random.default_rng(7).normal(size=node.shape))
         return [np.array(t.grad) for t in tensors]
 
-    def test_banded_grads_are_reproducible_and_close_to_whole(self, rng, monkeypatch):
-        for name, arrays, params in self._grad_cases(rng):
-            whole = self._grads(name, arrays, params)
+    def test_weight_and_bias_grads_equal_whole(self, rng, monkeypatch):
+        cases = [
+            ((6, 3, 8, 8), (4, 3, 3, 3), {"stride": 1, "padding": 1}),
+            ((5, 2, 9, 7), (3, 2, 3, 5), {"stride": 2, "padding": 2}),
+        ]
+        for x_shape, w_shape, params in cases:
+            arrays = [rng.normal(size=x_shape), rng.normal(size=w_shape),
+                      rng.normal(size=(w_shape[0],))]
+            whole = self._grads(arrays, params)
             monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
-            banded = self._grads(name, arrays, params)
-            again = self._grads(name, arrays, params)
+            operands = [Tensor(a).data for a in arrays]
+            assert op_registry._conv2d_band_count(operands, params) == x_shape[0]
+            banded = self._grads(arrays, params)
             monkeypatch.undo()
-            assert [_sha(g) for g in banded] == [_sha(g) for g in again], name
+            assert _sha(banded[1]) == _sha(whole[1]), f"grad_weight {x_shape}"
+            assert _sha(banded[2]) == _sha(whole[2]), f"grad_bias {x_shape}"
             tol = 1e4 * np.finfo(banded[0].dtype).eps
-            for b, w in zip(banded, whole):
-                np.testing.assert_allclose(b, w, rtol=tol, atol=tol, err_msg=name)
+            np.testing.assert_allclose(banded[0], whole[0], rtol=tol, atol=tol,
+                                       err_msg=f"grad_x {x_shape}")
 
 
-@pytest.mark.parametrize(
-    "h,w,kh,kw,stride,padding",
-    [
-        (11, 11, 3, 3, 1, 1),   # ragged: out_h=11 -> bands of 4, 4, 3
-        (16, 16, 3, 3, 1, 0),
-        (15, 15, 5, 5, 2, 2),   # stride>1 with a wide halo
-        (9, 13, 3, 5, 2, 1),    # asymmetric kernel, ragged both ways
-        (8, 8, 2, 2, 2, 0),     # pooling geometry
-        (7, 7, 3, 3, 1, 3),     # padding wider than the band overlap
-    ],
-)
-class TestSpatialWindowHalo:
-    """Row-window unfolds carry their halo and tile back byte-identically."""
+#: (h, w, kh, kw, stride, padding) unfold geometries.
+_GEOMETRIES = [
+    (11, 11, 3, 3, 1, 1),
+    (16, 16, 3, 3, 1, 0),
+    (15, 15, 5, 5, 2, 2),   # stride>1 with a wide kernel
+    (9, 13, 3, 5, 2, 1),    # asymmetric kernel and image
+    (8, 8, 2, 2, 2, 0),     # pooling geometry
+    (7, 7, 3, 3, 1, 3),     # padding wider than the kernel overlap
+]
 
-    def test_banded_unfold_matches_whole(self, rng, h, w, kh, kw, stride, padding):
-        images = rng.normal(size=(1, 3, h, w))
+
+@pytest.mark.parametrize("h,w,kh,kw,stride,padding", _GEOMETRIES)
+class TestBandUnfold:
+    """Per-sample unfolds tile back into the whole-batch im2col byte for byte."""
+
+    def test_unfold_matches_whole(self, rng, h, w, kh, kw, stride, padding):
+        images = rng.normal(size=(3, 2, h, w))
         full, out_h, out_w = im2col(images, kh, kw, stride, padding)
         assembled = np.empty(full.shape, full.dtype)
-        rows_per_band = sharding.SPATIAL_BAND_ROWS
-        bands = -(-out_h // rows_per_band)
-        for band in range(bands):
-            r0 = band * rows_per_band
-            r1 = min(r0 + rows_per_band, out_h)
-            window = assembled[r0 * out_w : r1 * out_w]
-            im2col_into(images, kh, kw, stride, padding, window, row_start=r0, row_stop=r1)
+        rows = out_h * out_w
+        for sample in range(images.shape[0]):
+            band = assembled[sample * rows : (sample + 1) * rows]
+            im2col_into(images[sample : sample + 1], kh, kw, stride, padding, band)
         assert assembled.tobytes() == full.tobytes()
 
 
-class TestSpatialForwardShards:
-    """Batch-1 kernels banded over output rows replay in place, exactly."""
+@pytest.mark.parametrize("h,w,kh,kw,stride,padding", _GEOMETRIES)
+class TestBandedConvForward:
+    """A banded conv2d saves the whole im2col and computes the whole output."""
 
-    def _spatial_cases(self, rng):
+    def test_saved_col_and_output_match_whole(self, rng, monkeypatch, h, w, kh, kw,
+                                              stride, padding):
+        arrays = [rng.normal(size=(3, 2, h, w)), rng.normal(size=(4, 2, kh, kw)),
+                  rng.normal(size=(4,))]
+        params = {"stride": stride, "padding": padding}
+        whole = op_registry.apply("conv2d", [Tensor(a) for a in arrays], dict(params))
+        monkeypatch.setattr(sharding, "MIN_BAND_FLOPS", 1)
+        banded = op_registry.apply("conv2d", [Tensor(a) for a in arrays], dict(params))
+        call = banded._op_call
+        assert op_registry._conv2d_band_count(call.inputs, call.params) == 3
+        full, _, _ = im2col(call.inputs[0], kh, kw, stride, padding)
+        assert call.saved["col"].tobytes() == full.tobytes()
+        assert whole._op_call.saved["col"].tobytes() == full.tobytes()
+        tol = 1e4 * np.finfo(banded.data.dtype).eps
+        np.testing.assert_allclose(banded.data, whole.data, rtol=tol, atol=tol)
+
+
+class TestSampleBanding:
+    """Batches of two or more band per sample; batch-1 kernels run whole."""
+
+    def _batch1_cases(self, rng):
         return [
             ("conv2d", [rng.normal(size=(1, 3, 11, 11)), rng.normal(size=(4, 3, 3, 3)),
                         rng.normal(size=(4,))], {"stride": 1, "padding": 1}),
@@ -200,26 +193,38 @@ class TestSpatialForwardShards:
             ("avg_pool2d", [rng.normal(size=(1, 4, 18, 18))], {"kernel": 2, "stride": 2}),
         ]
 
-    def test_spatial_in_place_replay_matches_eager(self, rng, low_floor):
-        for name, arrays, params in self._spatial_cases(rng):
+    def test_batch1_in_place_replay_matches_eager(self, rng, low_floor):
+        for name, arrays, params in self._batch1_cases(rng):
             tensors = [Tensor(a, requires_grad=True) for a in arrays]
             node = op_registry.apply(name, tensors, dict(params))
             call = node._op_call
             if name == "conv2d":
-                units = op_registry._conv2d_band_count(call.inputs, call.params)
-                assert units >= 2, f"{name}: fixture too small for spatial bands"
+                assert op_registry._conv2d_band_count(call.inputs, call.params) == 0, name
             expected = node.data.copy()
             node.data[...] = 0
             assert call.kernel(out=node.data) is node.data, name
             assert node.data.tobytes() == expected.tobytes(), name
 
     def test_batch_of_two_still_bands_on_samples(self, rng, low_floor):
-        """n >= 2 keeps the batch axis: units == n, not spatial bands."""
+        """n >= 2 keeps the batch axis: units == n."""
         arrays = [rng.normal(size=(2, 3, 16, 16)), rng.normal(size=(4, 3, 3, 3))]
         tensors = [Tensor(a) for a in arrays]
         node = op_registry.apply("conv2d", tensors, {"stride": 1, "padding": 1})
         call = node._op_call
         assert op_registry._conv2d_band_count(call.inputs, call.params) == 2
+
+    def test_banded_conv_profiles_as_one_conv2d_row(self, rng, low_floor):
+        """Bands and their gradients add no profiler rows of their own."""
+        arrays = [rng.normal(size=(3, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3)),
+                  rng.normal(size=(4,))]
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        with profile_ops() as profiler:
+            node = op_registry.apply("conv2d", tensors, {"stride": 1, "padding": 1})
+            node.backward(np.ones(node.shape, dtype=node.data.dtype))
+        assert set(profiler.stats) == {"conv2d"}
+        stat = profiler.stats["conv2d"]
+        assert stat.calls == 1
+        assert stat.flops == op_registry._conv2d_flops(arrays[0].shape, arrays[1].shape, 1, 1)
 
 
 class TestBatch1CapturedTower:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,7 +155,81 @@ class TestArtifactCache:
         model = reader.get_defender("simple_cnn", config)
         assert reader.stats.trainings == 1
         assert reader.stats.disk_hits == 0
+        assert reader.stats.disk_discards == 1
         assert not model.training
+
+    @pytest.mark.parametrize("corruption", ["truncated", "empty", "bit_flipped"])
+    def test_corrupt_disk_artifact_falls_back_to_retraining(self, tmp_path, corruption):
+        """An unreadable archive is discarded, counted and rewritten whole."""
+        config = _tiny_config()
+        writer = ArtifactCache(directory=tmp_path)
+        writer.get_defender("simple_cnn", config)
+        key = writer.defender_key("simple_cnn", config)
+        path = tmp_path / "defenders" / f"{key}.npz"
+        raw = path.read_bytes()
+        corrupted = {
+            "truncated": raw[: len(raw) // 2],
+            "empty": b"",
+            # A flipped byte inside the first member's payload fails its CRC.
+            "bit_flipped": raw[:200] + bytes([raw[200] ^ 0xFF]) + raw[201:],
+        }[corruption]
+        path.write_bytes(corrupted)
+        reader = ArtifactCache(directory=tmp_path)
+        model = reader.get_defender("simple_cnn", config)
+        assert reader.stats.trainings == 1
+        assert reader.stats.disk_hits == 0
+        assert reader.stats.disk_discards == 1
+        assert not model.training
+        # The retrain rewrote the archive whole (no temporary left behind),
+        # and a fresh reader loads the retrained weights without training.
+        assert sorted(p.name for p in path.parent.iterdir()) == [f"{key}.json", f"{key}.npz"]
+        again = ArtifactCache(directory=tmp_path)
+        loaded = again.get_defender("simple_cnn", config)
+        assert again.stats.trainings == 0 and again.stats.disk_discards == 0
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, loaded.state_dict()[name], err_msg=name)
+
+    @staticmethod
+    def _crash_mid_write(monkeypatch):
+        """Make the archive writer emit half an archive, then fail."""
+        from repro.eval.engine import cache as cache_module
+
+        def crash(target, state):
+            partial = b"PK\x03\x04 half an archive"
+            if isinstance(target, (str, os.PathLike)):
+                Path(target).write_bytes(partial)
+            else:
+                target.write(partial)
+            raise RuntimeError("crashed mid-write")
+
+        monkeypatch.setattr(cache_module, "save_state", crash)
+
+    def test_interrupted_write_leaves_no_archive(self, tmp_path, monkeypatch):
+        config = _tiny_config()
+        self._crash_mid_write(monkeypatch)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            ArtifactCache(directory=tmp_path).get_defender("simple_cnn", config)
+        assert list((tmp_path / "defenders").iterdir()) == []
+        monkeypatch.undo()
+        reader = ArtifactCache(directory=tmp_path)
+        reader.get_defender("simple_cnn", config)
+        assert reader.stats.trainings == 1 and reader.stats.disk_discards == 0
+
+    def test_interrupted_rewrite_keeps_previous_archive(self, tmp_path, monkeypatch):
+        """A failed rewrite leaves the old archive's bytes in place."""
+        config = _tiny_config()
+        writer = ArtifactCache(directory=tmp_path)
+        writer.get_defender("simple_cnn", config)
+        key = writer.defender_key("simple_cnn", config)
+        path = tmp_path / "defenders" / f"{key}.npz"
+        path.write_bytes(b"")  # unreadable: the next reader retrains and rewrites
+        self._crash_mid_write(monkeypatch)
+        reader = ArtifactCache(directory=tmp_path)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            reader.get_defender("simple_cnn", config)
+        assert reader.stats.disk_discards == 1
+        assert path.read_bytes() == b""
+        assert sorted(p.name for p in path.parent.iterdir()) == [f"{key}.json", f"{key}.npz"]
 
 
 class TestCacheDiskBudget:

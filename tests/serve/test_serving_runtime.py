@@ -126,6 +126,19 @@ class TestSealedSessions:
             with pytest.raises(SecureChannelError):
                 service.submit_sealed(0, bad)
 
+    @pytest.mark.parametrize(
+        "shape,dtype",
+        [((3, 8, 9), "<f8"), ((3, 8, 8), "<f4"), ((3, 8, 8), "|O"), ((3, 8, 8), "no-such-dtype")],
+    )
+    def test_forged_query_metadata_is_rejected(self, rng, shape, dtype):
+        from dataclasses import replace
+
+        with ShieldedInferenceService(_model(), BatchingPolicy()) as service:
+            session = service.open_session("client-f")
+            sealed = session.seal_query(rng.uniform(size=(3, 8, 8)))
+            with pytest.raises(SecureChannelError):
+                service.submit_sealed(0, replace(sealed, shape=shape, dtype=dtype))
+
     def test_unknown_session_is_rejected(self, rng):
         with ShieldedInferenceService(_model(), BatchingPolicy()) as service:
             session = service.open_session("client-c")

@@ -93,6 +93,37 @@ class TestSecureChannel:
         recovered = receiver.decrypt_array(message, shape, dtype)
         np.testing.assert_allclose(recovered, array)
 
+    @pytest.mark.parametrize(
+        "shape,dtype",
+        [
+            ((4, 6), "float32"),     # byte count too large for the payload
+            ((4, 5), "float64"),     # same shape, wider dtype
+            ((2, 5), "float32"),     # byte count too small
+            ((-4, -5), "float32"),   # negative dims whose product fits
+            ((4.0, 5), "float32"),   # non-integer dim
+            (5, "float32"),          # not a shape at all
+            ((4, 5), "no-such-dtype"),
+            ((4, 5), "U1"),          # right byte count, non-numeric dtype
+            ((80,), "bool"),         # right byte count, non-numeric dtype
+            ((10,), "object"),
+        ],
+    )
+    def test_forged_array_metadata_raises_channel_error(self, rng, shape, dtype):
+        sender, receiver = establish_session(rng)
+        message, _, _ = sender.encrypt_array(rng.normal(size=(4, 5)).astype(np.float32))
+        with pytest.raises(SecureChannelError):
+            receiver.decrypt_array(message, shape, dtype)
+
+    def test_same_size_relabel_still_decodes(self, rng):
+        """Known gap: the metadata is outside the MAC, so a re-label that keeps
+        the byte count decodes into a different (wrong) array silently."""
+        sender, receiver = establish_session(rng)
+        array = rng.normal(size=(3, 4, 4))
+        message, _, _ = sender.encrypt_array(array)
+        relabelled = receiver.decrypt_array(message, (3, 4, 8), "float32")
+        assert relabelled.shape == (3, 4, 8)
+        assert relabelled.tobytes() == array.tobytes()
+
     def test_short_key_rejected(self):
         with pytest.raises(ValueError):
             SecureChannel(b"short")
