@@ -143,6 +143,9 @@ def _stage_flops_and_bytes(partition, array) -> list[tuple[int, int]]:
                 total = sum(stat["flops"] for stat in profiler.as_dict().values())
                 rows.append((total - seen, input_nbytes))
                 seen = total
+    if partition.enclave is not None:
+        # The probe's shielded activations leave the enclave with it.
+        partition.enclave.flush_regions()
     return rows
 
 

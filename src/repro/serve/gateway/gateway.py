@@ -43,6 +43,7 @@ from repro.serve.gateway.costs import StageCostModel, calibrate_stage_costs
 from repro.serve.gateway.events import EventLoop
 from repro.serve.gateway.loadgen import OpenLoopWorkload
 from repro.serve.session import SealedQuery, ServingSession, SessionManager
+from repro.tee.secure_channel import check_array_metadata
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("serve.gateway")
@@ -276,8 +277,11 @@ class GatewayService:
     def _payload_array(self, payload) -> np.ndarray:
         if isinstance(payload, SealedQuery):
             # Calibration must not decrypt anything: synthesize a zero
-            # payload of the sealed query's declared shape.
-            return np.zeros(payload.shape, dtype=np.dtype(payload.dtype))
+            # payload of the sealed query's declared (and validated) shape.
+            shape, dtype = check_array_metadata(
+                payload.shape, payload.dtype, len(payload.message.ciphertext)
+            )
+            return np.zeros(shape, dtype)
         return np.asarray(payload)
 
     def serve(self, requests: list[InferenceRequest] | None = None) -> GatewayReport:
@@ -366,17 +370,19 @@ class GatewayService:
                 array = np.asarray(payload)
                 request.value = Tensor(array[None], is_input=True, name="gateway.input")
                 request.payload = None
-        boundary = self.enclave.boundary if self.enclave is not None else None
-        if secure and not previous_secure and boundary is not None:
-            # One amortised switch carries the whole cohort into the enclave.
-            boundary.enter_secure_world(sum(r.value.nbytes for r in cohort))
+        if secure and not previous_secure:
+            # The previous cohort's shield regions leave the enclave, as in
+            # ShieldedModel.forward; one amortised switch carries the whole
+            # cohort in.
+            self.enclave.flush_regions()
+            self.enclave.boundary.enter_secure_world(sum(r.value.nbytes for r in cohort))
         for request in cohort:
             if secure:
                 with self.enclave.shield_scope(stage.name):
                     request.value = stage.run(request.value)
             else:
                 request.value = stage.run(request.value)
-        if secure and not next_secure and boundary is not None:
-            boundary.exit_secure_world(sum(r.value.nbytes for r in cohort))
+        if secure and not next_secure:
+            self.enclave.boundary.exit_secure_world(sum(r.value.nbytes for r in cohort))
             for request in cohort:
                 request.value.shielded = False

@@ -39,7 +39,9 @@ from repro.serve.gateway import (
     poisson_workload,
     trace_workload,
 )
+from repro.tee.errors import SecureChannelError
 from repro.utils.rng import set_global_seed
+from tests.tee.test_world_channel_attestation import FORGED_ARRAY_METADATA
 
 
 @pytest.fixture(autouse=True)
@@ -514,3 +516,51 @@ class TestGatewayServiceParity:
         )
         np.testing.assert_array_equal(report.predictions(), model.predict(inputs))
         assert report.metrics["world_switches"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Enclave occupancy and calibration hygiene
+# --------------------------------------------------------------------------- #
+class TestGatewayEnclaveRegions:
+    def test_sealed_requests_do_not_accumulate_shield_regions(self, rng):
+        service = GatewayService(_model(), GatewayPolicy(policy="continuous", max_batch=4))
+        session = service.open_session("client")
+        occupancy = []
+        for request_id in range(50):
+            sealed = session.seal_query(rng.uniform(size=(3, 8, 8)))
+            service.submit_sealed(request_id, sealed)
+            assert len(service.serve().replies) == 1
+            occupancy.append(service.enclave.memory_report().region_value_bytes)
+        assert occupancy[0] > 0
+        assert occupancy[-1] == occupancy[0]
+
+    def test_calibration_leaves_no_shield_region(self, rng):
+        service = GatewayService(_model(), GatewayPolicy(policy="continuous"))
+        session = service.open_session("client")
+        service.submit_sealed(0, session.seal_query(rng.uniform(size=(3, 8, 8))))
+        service.costs()
+        assert service.enclave.memory_report().region_value_bytes == 0
+
+    def test_accumulating_shielded_model_still_accumulates(self, rng):
+        from repro.core.shielded_model import ShieldedModel
+
+        shielded = ShieldedModel(_model(), accumulate_regions=True)
+        shielded.logits(rng.uniform(size=(1, 3, 8, 8)))
+        first = shielded.enclave.memory_report().region_value_bytes
+        shielded.logits(rng.uniform(size=(1, 3, 8, 8)))
+        assert first > 0
+        assert shielded.enclave.memory_report().region_value_bytes == 2 * first
+
+    @pytest.mark.parametrize(
+        "shape,dtype",
+        FORGED_ARRAY_METADATA + [((10**6, 10**6, 10**6), "float32"), ((2**62, 4), "float32")],
+    )
+    def test_forged_calibration_query_raises_channel_error(self, rng, shape, dtype):
+        from dataclasses import replace
+
+        service = GatewayService(_model(), GatewayPolicy(policy="continuous"))
+        session = service.open_session("client")
+        sealed = session.seal_query(rng.normal(size=(4, 5)).astype(np.float32))
+        service.submit_sealed(0, replace(sealed, shape=shape, dtype=dtype))
+        with pytest.raises(SecureChannelError):
+            service.costs()
