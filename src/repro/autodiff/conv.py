@@ -25,7 +25,11 @@ def im2col(
     n, c, h, w = images.shape
     out_h = _output_size(h, kh, stride, padding)
     out_w = _output_size(w, kw, stride, padding)
-    padded = np.pad(images, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
+    if padding:
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=images.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = images
+    else:
+        padded = images
     col = np.empty((n, c, kh, kw, out_h, out_w), dtype=images.dtype)
     for y in range(kh):
         y_max = y + stride * out_h

@@ -708,9 +708,25 @@ def _sigmoid_backward(ctx, grad):
 
 def _gelu_forward(inputs, params, saved, out):
     (x,) = inputs
-    u = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-    t = _refresh(saved, "t", np.tanh(u))
-    return _store(0.5 * x * (1.0 + t), out)
+    if out is None:
+        out = np.empty_like(x)
+    # Staged in place through ``out``.  The cube is two multiplies: NumPy's
+    # scalar-power fast path stops at squares, so ``x**3`` would call libm pow.
+    np.multiply(x, x, out=out)
+    np.multiply(out, x, out=out)
+    np.multiply(out, 0.044715, out=out)
+    np.add(x, out, out=out)
+    np.multiply(out, _SQRT_2_OVER_PI, out=out)
+    t = saved.get("t")
+    if t is None:
+        t = saved["t"] = np.tanh(out)
+    else:
+        np.tanh(out, out=t)
+    # 0.5 * x * (1 + t), halving 1 + t (exact) before the product.
+    np.add(1.0, t, out=out)
+    np.multiply(out, 0.5, out=out)
+    np.multiply(out, x, out=out)
+    return out
 
 
 def _gelu_backward(ctx, grad):

@@ -59,6 +59,30 @@ def select_correctly_classified(
     return selected_images, selected_labels
 
 
+def clean_accuracy_and_eval_set(
+    predict_fn,
+    images: np.ndarray,
+    labels: np.ndarray,
+    max_samples: int,
+    batch_size: int = 64,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Clean accuracy and the evaluation set from one prediction pass.
+
+    Predicts in the same batches as ``ImageClassifier.accuracy`` and
+    :func:`select_correctly_classified`, so the accuracy and the first
+    ``max_samples`` correctly classified samples equal theirs, without
+    predicting the leading batches twice.
+    """
+    images = np.asarray(images)
+    labels = np.asarray(labels)
+    correct = np.empty(len(labels), dtype=bool)
+    for start in range(0, len(labels), batch_size):
+        stop = start + batch_size
+        correct[start:stop] = predict_fn(images[start:stop]) == labels[start:stop]
+    keep = np.flatnonzero(correct)[:max_samples]
+    return int(correct.sum()) / max(len(labels), 1), images[keep], labels[keep]
+
+
 def robust_accuracy(predict_fn, adversarials: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
     """Fraction of adversarial samples still classified correctly by the defender."""
     labels = np.asarray(labels)

@@ -127,6 +127,7 @@ class ExperimentEngine:
     # Table III
     # ------------------------------------------------------------------ #
     def _run_individual(self, scenario: Scenario):
+        from repro.eval.astuteness import clean_accuracy_and_eval_set
         from repro.eval.harness import IndividualModelResult
 
         config = scenario.config
@@ -139,11 +140,13 @@ class ExperimentEngine:
         payloads = []
         for model_name in config.models:
             model = self.cache.get_defender(model_name, config)
-            images, labels = self._eval_set(scenario, model.predict, config.eval_samples)
+            clean_accuracy, images, labels = clean_accuracy_and_eval_set(
+                model.predict, dataset.test_images, dataset.test_labels, config.eval_samples
+            )
             results[model_name] = IndividualModelResult(
                 model_name=model_name,
                 dataset=config.dataset,
-                clean_accuracy=model.accuracy(dataset.test_images, dataset.test_labels),
+                clean_accuracy=clean_accuracy,
                 eval_samples=len(labels),
             )
             spec = cells.model_spec(model_name, model)

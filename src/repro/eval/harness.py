@@ -34,7 +34,7 @@ from repro.attacks.bpda import make_attacker_view
 from repro.attacks.configs import AttackSuiteConfig, build_attack_suite
 from repro.core.shielded_model import ShieldedModel
 from repro.data.synthetic import SyntheticImageDataset, make_dataset
-from repro.eval.astuteness import robust_accuracy, select_correctly_classified
+from repro.eval.astuteness import clean_accuracy_and_eval_set, robust_accuracy
 from repro.models.base import ImageClassifier
 from repro.models.registry import build_model
 from repro.nn.trainer import fit_classifier
@@ -182,8 +182,7 @@ def evaluate_individual_model(
     config: ExperimentConfig,
 ) -> IndividualModelResult:
     """Attack one trained defender in the clear and shielded settings."""
-    clean_accuracy = model.accuracy(dataset.test_images, dataset.test_labels)
-    eval_images, eval_labels = select_correctly_classified(
+    clean_accuracy, eval_images, eval_labels = clean_accuracy_and_eval_set(
         model.predict, dataset.test_images, dataset.test_labels, config.eval_samples
     )
     suite = build_attack_suite(config.attack_suite_config())

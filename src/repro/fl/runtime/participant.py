@@ -20,6 +20,8 @@ produces bit-identical updates:
 
 from __future__ import annotations
 
+import inspect
+import weakref
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -86,17 +88,34 @@ class ClientTask:
         return SecureChannel(self.session_key, rng=nonce_rng)
 
 
+#: ``_accepts_rng`` answers, keyed by the function behind ``local_update``.
+_ACCEPTS_RNG: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _accepts_rng(client: Participant) -> bool:
     """Whether the client's ``local_update`` takes the ``rng`` keyword.
 
     Pre-runtime participant implementations used ``local_update(round_index)``;
     they still work, at the cost of drawing shuffle randomness from their own
     (global) streams — which forfeits cross-transport parity for them only.
+    The answer is memoized on the function behind the bound method, so a
+    signature is inspected once per participant class, not once per client
+    and round; a per-instance override is its own key.
     """
-    import inspect
-
+    method = client.local_update
+    function = getattr(method, "__func__", method)
     try:
-        parameters = inspect.signature(client.local_update).parameters
+        return _ACCEPTS_RNG[function]
+    except KeyError:
+        accepts = _ACCEPTS_RNG[function] = _signature_accepts_rng(method)
+        return accepts
+    except TypeError:  # not weak-referenceable: inspect every time
+        return _signature_accepts_rng(method)
+
+
+def _signature_accepts_rng(method) -> bool:
+    try:
+        parameters = inspect.signature(method).parameters
     except (TypeError, ValueError):  # builtins / C-level callables
         return True
     if "rng" in parameters:

@@ -42,6 +42,24 @@ class TestIm2Col:
         rhs = float((x * col2im(y, x.shape, 3, 3, stride=2, padding=1)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    @pytest.mark.parametrize("stride, padding", [(1, 0), (1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_padded_patch_gather(self, rng, stride, padding, dtype):
+        """Every column entry is a copy of a zero-padded input element."""
+        images = rng.normal(size=(2, 3, 7, 6)).astype(dtype)
+        col, out_h, out_w = im2col(images, 3, 2, stride=stride, padding=padding)
+        padded = np.pad(images, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
+        expected = np.stack(
+            [
+                padded[n, :, oy * stride : oy * stride + 3, ox * stride : ox * stride + 2].ravel()
+                for n in range(2)
+                for oy in range(out_h)
+                for ox in range(out_w)
+            ]
+        )
+        assert col.dtype == dtype
+        assert col.tobytes() == expected.tobytes()
+
 
 class TestConv2d:
     def test_output_shape(self, rng):

@@ -17,6 +17,7 @@ from repro.eval import (
     robust_accuracy,
     select_correctly_classified,
 )
+from repro.eval.astuteness import clean_accuracy_and_eval_set
 from repro.eval.geometry import make_toy_problem, run_geometry_study, train_toy_classifier
 
 
@@ -45,6 +46,41 @@ class TestMetrics:
         predictor = lambda batch: np.zeros(len(batch), dtype=np.int64)
         selected_images, selected_labels = select_correctly_classified(predictor, images, labels, 4)
         assert len(selected_labels) == 0
+
+    @pytest.mark.parametrize("max_samples", [0, 5, 70, 400])
+    def test_one_pass_matches_accuracy_and_selection(self, rng, max_samples):
+        """One batched pass gives the two-pass clean accuracy and eval set."""
+        images = rng.uniform(size=(150, 1, 2, 2))
+        labels = rng.integers(0, 3, size=150)
+        answers = np.where(rng.uniform(size=150) < 0.6, labels, (labels + 1) % 3)
+        calls = []
+
+        def predictor(batch):
+            start = int(np.flatnonzero((images == batch[0]).all(axis=(1, 2, 3)))[0])
+            calls.append((start, len(batch)))
+            return answers[start : start + len(batch)]
+
+        accuracy, selected_images, selected_labels = clean_accuracy_and_eval_set(
+            predictor, images, labels, max_samples
+        )
+        assert calls == [(0, 64), (64, 64), (128, 22)]
+        expected_images, expected_labels = select_correctly_classified(
+            predictor, images, labels, max_samples
+        )
+        assert accuracy == np.mean(answers == labels)
+        assert selected_images.tobytes() == expected_images.tobytes()
+        assert selected_images.shape == expected_images.shape
+        assert selected_labels.tobytes() == expected_labels.tobytes()
+
+    def test_one_pass_on_an_empty_test_set(self):
+        accuracy, images, labels = clean_accuracy_and_eval_set(
+            lambda batch: np.zeros(len(batch), dtype=np.int64),
+            np.zeros((0, 1, 2, 2)),
+            np.zeros(0, dtype=np.int64),
+            4,
+        )
+        assert accuracy == 0.0
+        assert images.shape == (0, 1, 2, 2) and labels.shape == (0,)
 
     def test_robust_accuracy_and_success_rate(self, rng):
         adversarials = rng.uniform(size=(4, 1, 2, 2))

@@ -319,6 +319,51 @@ class TestTrainEachDefenderOnce:
         assert engine.cache.stats.trainings == 2
         assert engine.cache.stats.defender_hits >= 2
 
+    def test_table3_predicts_the_test_set_once_per_defender(self, monkeypatch):
+        """Clean accuracy and the eval set come from one batched pass, and
+        equal what ``model.accuracy`` plus ``select_correctly_classified``
+        compute in two."""
+        from repro.eval.astuteness import select_correctly_classified
+        from repro.eval.engine import cells
+
+        engine = ExperimentEngine()
+        config = _tiny_config(models=("simple_cnn", "mlp"), attacks=("fgsm",), test_per_class=14)
+        dataset = engine.cache.get_dataset(config)
+        test_passes = {}
+        for name in config.models:
+            model = engine.cache.get_defender(name, config)
+            real_predict = model.predict
+
+            def spy(batch, name=name, real_predict=real_predict):
+                if np.shares_memory(batch, dataset.test_images):
+                    test_passes.setdefault(name, []).append(len(batch))
+                return real_predict(batch)
+
+            monkeypatch.setattr(model, "predict", spy)
+        eval_sets = {}
+        real_cell = cells.run_individual_cell
+
+        def cell_spy(payload):
+            eval_sets[payload["model"]["name"]] = (payload["images"], payload["labels"])
+            return real_cell(payload)
+
+        monkeypatch.setattr(cells, "run_individual_cell", cell_spy)
+        record = engine.run(Scenario(name="t3", kind="individual", config=config))
+        assert len(dataset.test_labels) == 140
+        assert test_passes == {name: [64, 64, 12] for name in config.models}
+        for result in record.results:
+            model = engine.cache.get_defender(result.model_name, config)
+            images, labels = select_correctly_classified(
+                model.predict, dataset.test_images, dataset.test_labels, config.eval_samples
+            )
+            assert result.clean_accuracy == model.accuracy(
+                dataset.test_images, dataset.test_labels
+            )
+            assert result.eval_samples == len(labels)
+            selected_images, selected_labels = eval_sets[result.model_name]
+            assert selected_images.tobytes() == images.tobytes()
+            assert selected_labels.tobytes() == labels.tobytes()
+
     def test_fig4_reuses_table4_defenders(self):
         engine = ExperimentEngine()
         config = _tiny_config()

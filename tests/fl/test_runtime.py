@@ -26,6 +26,7 @@ from repro.fl import (
 )
 from repro.fl.messages import ModelUpdate
 from repro.fl.runtime import decode_state, encode_state, seal_state, unseal_state
+from repro.fl.runtime.participant import _accepts_rng
 from repro.models.simple import MLPClassifier
 from repro.tee.attestation import AttestationQuote
 from repro.tee.enclave import TrustZoneEnclave
@@ -376,6 +377,90 @@ class TestCompromisedDetection:
             _mlp_factory(), [QuietClient("quiet", _mlp_factory, images[:30], labels[:30])]
         )
         assert runtime.run_round().compromised_clients == []
+
+
+class _TakesRng:
+    def local_update(self, round_index, rng=None):
+        return rng
+
+
+class _TakesKwargs:
+    def local_update(self, round_index, **kwargs):
+        return kwargs
+
+
+class _TakesNeither:
+    def local_update(self, round_index):
+        return round_index
+
+
+class TestAcceptsRng:
+    """``_accepts_rng`` is memoized per ``local_update`` function."""
+
+    @pytest.mark.parametrize(
+        "cls, expected", [(_TakesRng, True), (_TakesKwargs, True), (_TakesNeither, False)]
+    )
+    def test_classifies_each_signature(self, cls, expected):
+        assert _accepts_rng(cls()) is expected
+        assert _accepts_rng(cls()) is expected
+
+    def test_inspects_each_function_once(self, monkeypatch):
+        from repro.fl.runtime import participant
+
+        inspected = []
+        real_signature = participant.inspect.signature
+
+        def spy(function):
+            inspected.append(function)
+            return real_signature(function)
+
+        monkeypatch.setattr(participant.inspect, "signature", spy)
+
+        class Fresh(_TakesNeither):
+            def local_update(self, round_index, rng=None):
+                return rng
+
+        clients = [Fresh() for _ in range(5)]
+        assert [_accepts_rng(client) for client in clients] == [True] * 5
+        assert len(inspected) == 1
+
+    @pytest.mark.parametrize("base", [_TakesRng, _TakesNeither])
+    def test_per_instance_override_is_classified_on_its_own(self, base):
+        plain = base()
+        expected = base is _TakesRng
+        assert _accepts_rng(plain) is expected
+        overridden = base()
+        if expected:
+            overridden.local_update = lambda round_index: round_index
+        else:
+            overridden.local_update = lambda round_index, rng=None: rng
+        assert _accepts_rng(overridden) is not expected
+        assert _accepts_rng(plain) is expected
+        assert _accepts_rng(base()) is expected
+
+    def test_subclass_override_and_unweakrefable_callables(self):
+        class Narrowed(_TakesRng):
+            def local_update(self, round_index):
+                return round_index
+
+        class SlottedWithRng:  # no __weakref__ slot: cannot be a memo key
+            __slots__ = ()
+
+            def __call__(self, round_index, rng=None):
+                return rng
+
+        class SlottedWithout:
+            __slots__ = ()
+
+            def __call__(self, round_index):
+                return round_index
+
+        assert _accepts_rng(_TakesRng()) is True
+        assert _accepts_rng(Narrowed()) is False
+        for update, expected in ((SlottedWithRng(), True), (SlottedWithout(), False)):
+            client = _TakesRng()
+            client.local_update = update
+            assert _accepts_rng(client) is expected
 
 
 class TestRoundHooks:
